@@ -88,8 +88,9 @@ func run(addr string, n int, seed uint64, batch, acked bool, logLevel string, lo
 	pop := dist.NewSampler(dist.PMF{0.02, 0.38, 0.30, 0.18, 0.12})
 	r := rng.New(seed)
 	// One report buffer and one per-user stream, reused across all n
-	// simulated users: both the local aggregator and the gob encoder
-	// consume the report before the next iteration overwrites it.
+	// simulated users: the local aggregator folds the report and the
+	// client copies it into its write buffer before the next iteration
+	// overwrites it.
 	buf := engine.NewReport()
 	ur := rng.New(0)
 	if batch {
@@ -110,6 +111,10 @@ func run(addr string, n int, seed uint64, batch, acked bool, logLevel string, lo
 				return err
 			}
 		}
+	}
+	// Sends are buffered; only a clean Flush means all n reports left.
+	if err := client.Flush(); err != nil {
+		return err
 	}
 	fmt.Printf("sent %d perturbed reports to %s\n", n, addr)
 	logger.Info("run done", "trace", trace, "reports", n)

@@ -2,7 +2,7 @@
 // aggregate two ways, mixable in one process:
 //
 //   - Polling (-nodes): fetch snapshot frames from idldp-server
-//     processes (gob-TCP) and/or httpapi nodes (HTTP) on an interval —
+//     processes (framed TCP) and/or httpapi nodes (HTTP) on an interval —
 //     the PR 3 topology. With -fleet-token every snapshot request is
 //     HMAC-signed for nodes that gate their snapshot endpoints.
 //   - Push registration (-listen / -listen-http): run the fleet control
@@ -137,7 +137,7 @@ func main() {
 	flag.DurationVar(&cfg.stale, "stale", 15*time.Second, "report a polled node stale after this long without a successful poll")
 	flag.BoolVar(&cfg.streamOut, "stream", false, "print each merged update as it is published")
 	flag.IntVar(&cfg.window, "window", 0, "also report estimates over the last k polls (0 = all-time only)")
-	flag.StringVar(&cfg.listen, "listen", "", "gob-TCP control-plane listen address for push-registered nodes (empty = polling only)")
+	flag.StringVar(&cfg.listen, "listen", "", "framed TCP control-plane listen address for push-registered nodes (empty = polling only)")
 	flag.StringVar(&cfg.listenHTTP, "listen-http", "", "HTTP control-plane listen address (empty = none)")
 	flag.StringVar(&cfg.fleetToken, "fleet-token", "", "shared fleet token authenticating registrations, pushes and snapshot reads")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", registry.DefaultHeartbeatEvery, "heartbeat cadence advertised to registering nodes")

@@ -14,7 +14,7 @@
 // Server-Sent Events feed publishing calibrated estimates every
 // -stream-interval, and GET /v1/estimates?window=k answers over the last
 // k intervals of the -window-interval sliding window. The ingestion
-// runtime is shared — reports arriving over gob-TCP show up on the HTTP
+// runtime is shared — reports arriving over framed TCP show up on the HTTP
 // stream within one interval. Estimates reads are served from a
 // generation-stamped cache refreshed once per interval (every SSE
 // client ships the same pre-marshaled payload), so dashboard read
@@ -45,7 +45,7 @@
 //
 // Shutdown is a graceful drain: on SIGINT/SIGTERM the server first flips
 // readiness off (GET /v1/readyz answers 503) and refuses new external
-// reports — HTTP ingest returns 429 + Retry-After, acked gob-TCP frames
+// reports — HTTP ingest returns 429 + Retry-After, acked framed TCP frames
 // get shed acks — while every listener keeps answering for -drain-grace
 // so load balancers and retrying clients observe the pushback instead of
 // a connection reset. It then flushes the batcher pools, writes the
@@ -369,7 +369,7 @@ func run(cfg config) error {
 
 	// Graceful drain, phase 1: flip readiness off and refuse new external
 	// reports BEFORE any listener stops. /v1/readyz answers 503, HTTP
-	// ingest answers 429 + Retry-After, acked gob-TCP frames get shed
+	// ingest answers 429 + Retry-After, acked framed TCP frames get shed
 	// acks — but every socket still answers, so load balancers and
 	// retrying clients observe pushback instead of connection resets.
 	// Internal flushes (batcher pools, the final checkpoint) still land.

@@ -76,6 +76,11 @@ func main() {
 				logger.Error("send", "population", p, "err", err)
 				return
 			}
+			// Sends are buffered: the batch has left only once Flush says so.
+			if err := client.Flush(); err != nil {
+				logger.Error("flush", "population", p, "err", err)
+				return
+			}
 			truthMu.Lock()
 			for i, c := range localTruth {
 				truth[i] += c

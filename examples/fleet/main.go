@@ -152,8 +152,13 @@ func fleetDemo(engine *core.Engine, pop *dist.Sampler) {
 		if err := c.SendBatch(local); err != nil {
 			log.Fatal(err)
 		}
-		// The snapshot request flushes this connection's frames before we
-		// disconnect, so the merger below sees every report.
+		// Sends are buffered: Flush is where a lost tail would show.
+		if err := c.Flush(); err != nil {
+			log.Fatal(err)
+		}
+		// The snapshot request makes the server fold this connection's
+		// frames before we disconnect, so the merger below sees every
+		// report.
 		if _, _, _, err := c.Snapshot(); err != nil {
 			log.Fatal(err)
 		}

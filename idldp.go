@@ -37,7 +37,7 @@
 // queue. Estimates stays consistent while ingestion continues by merging
 // per-shard snapshots, and is bit-for-bit identical to the single
 // accumulator on the same reports because per-bit counts are
-// order-independent integer sums. The gob-TCP transport
+// order-independent integer sums. The framed TCP transport
 // (internal/transport) and the HTTP/JSON API (internal/httpapi) feed the
 // same runtime. A sharded Server must be Closed to stop its workers.
 //

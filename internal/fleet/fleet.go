@@ -1,5 +1,5 @@
 // Package fleet is the collector-of-collectors: it polls snapshot
-// frames from several idldp-server processes — over the gob-TCP
+// frames from several idldp-server processes — over the framed TCP
 // transport or the HTTP/JSON API — and merges them into one global
 // aggregate. Because ID-LDP per-bit counts are order-independent integer
 // sums and every node's snapshot is cumulative, the merge is *exact*:
@@ -58,7 +58,7 @@ type Source interface {
 	Fetch(ctx context.Context) (Snapshot, error)
 }
 
-// TCPSource polls a gob-TCP aggregation server (internal/transport) with
+// TCPSource polls a framed TCP aggregation server (internal/transport) with
 // a snapshot-request frame per fetch.
 type TCPSource struct {
 	addr string

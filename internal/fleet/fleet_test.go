@@ -23,7 +23,7 @@ import (
 	"idldp/internal/varpack"
 )
 
-// startNodes brings up nodeCount collector nodes, alternating gob-TCP
+// startNodes brings up nodeCount collector nodes, alternating framed TCP
 // and HTTP so every merge test exercises both transports, and returns
 // their fleet sources plus a cleanup-registered teardown.
 func startNodes(t *testing.T, e *core.Engine, nodeCount int) []Source {
@@ -95,7 +95,7 @@ func sendTo(t *testing.T, src Source, v *bitvec.Vector) {
 }
 
 // TestFleetMergeEquivalence is the multi-node half of the exactness
-// guarantee: reports partitioned across 2 and 4 nodes (mixed gob-TCP and
+// guarantee: reports partitioned across 2 and 4 nodes (mixed framed TCP and
 // HTTP), merged by the fleet, must produce per-bit counts — and
 // therefore estimates — bit-for-bit identical to one collector that
 // ingested every report.

@@ -1,7 +1,7 @@
 // Package flow is the client half of shed-aware flow control: one
 // retry policy — full-jitter exponential backoff, bounded attempts,
 // per-attempt deadlines, context cancellation — shared by every sender
-// in the repository (the gob-TCP transport client, the in-process
+// in the repository (the framed TCP transport client, the in-process
 // collect senders, the announcer's reconnect loop, and the CLIs).
 //
 // The server side of the loop is internal/server's saturation guard:

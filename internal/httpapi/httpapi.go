@@ -1,6 +1,6 @@
 // Package httpapi exposes the collection pipeline over HTTP/JSON — the
 // REST counterpart of the raw-TCP transport, for clients that cannot
-// speak gob (browsers, mobile SDKs). Endpoints:
+// speak the binary frame protocol (browsers, mobile SDKs). Endpoints:
 //
 //	POST /v1/report            {"words": [..], "bits": n}   one perturbed report
 //	POST /v1/batch             {"counts": [..], "n": k}     pre-summed batch

@@ -1,6 +1,6 @@
 // The HTTP face of the fleet control plane: a merger mounts a
 // RegistryHandler to accept push registrations from nodes that cannot
-// speak gob. Endpoints (JSON bodies defined in internal/registry):
+// speak the binary frame protocol. Endpoints (JSON bodies defined in internal/registry):
 //
 //	POST /v1/register   {"name","bits","kind","time_nano","mac"}
 //	                    → {"session","heartbeat_ns","bits"}

@@ -29,7 +29,7 @@ import (
 )
 
 // Conn is one connection to a merger's control plane. Implementations:
-// transport.RegistryConn (gob-TCP) and DialHTTP here (HTTP/JSON).
+// transport.RegistryConn (framed TCP) and DialHTTP here (HTTP/JSON).
 type Conn interface {
 	Register(ctx context.Context, req RegisterRequest) (RegisterReply, error)
 	Heartbeat(ctx context.Context, hb Heartbeat) error

@@ -28,7 +28,7 @@
 // that restarts, or a connection that drops all funnel into "new
 // session, full cumulative resync first", after which deltas resume.
 // The Announcer (announce.go) is the node-side loop implementing that
-// contract on top of any Conn transport (gob-TCP in internal/transport,
+// contract on top of any Conn transport (framed TCP in internal/transport,
 // HTTP in httpconn.go).
 //
 // Mergers compose into tiers: a Registry exposes its merged state as a

@@ -1,5 +1,5 @@
 // Package server is the sharded, batched ingestion runtime behind every
-// concurrent deployment of the collection pipeline (the gob-TCP transport,
+// concurrent deployment of the collection pipeline (the framed TCP transport,
 // the HTTP/JSON API, and the in-process collect harness). It scales the
 // single-goroutine agg.Aggregator to many concurrent producers without
 // putting a lock on the hot path:
@@ -269,6 +269,9 @@ type Server struct {
 	forceSat          atomic.Bool
 	shedRejectReports atomic.Int64
 	shedRejectFrames  atomic.Int64
+	// malformed counts ingest connections a network surface dropped
+	// because the peer sent something that is not a valid frame.
+	malformed atomic.Int64
 
 	start time.Time
 
@@ -423,6 +426,8 @@ func (s *Server) registerMetrics(reg *telemetry.Registry) {
 		s.shedRejectReports.Load)
 	reg.CounterFunc("shed_reject_frames", "Frames refused at the admission gate with a pushback signal.",
 		s.shedRejectFrames.Load)
+	reg.CounterFunc("ingest_malformed", "Ingest connections dropped for a malformed frame (bad preamble, kind, field, length, or domain size).",
+		s.malformed.Load)
 	reg.CounterFunc("checkpoints", "Checkpoint frames written.", s.ckptSaves.Load)
 	reg.GaugeFunc("arrival_rate_ewma", "EWMA of the report arrival rate in reports/s.",
 		func() float64 { return s.rate.observe(s.reports.Load(), time.Now()) })
@@ -463,6 +468,10 @@ func (s *Server) NoteTrace(id string) { s.trace.Note(id) }
 
 // LastTrace returns the most recent trace context absorbed, or "".
 func (s *Server) LastTrace() string { return s.trace.Last() }
+
+// NoteMalformed records that an external surface dropped an ingest
+// connection for a malformed frame (ingest_malformed_total).
+func (s *Server) NoteMalformed() { s.malformed.Add(1) }
 
 // adaptLoop periodically retargets the batch size from the rate gauge.
 func (s *Server) adaptLoop(interval time.Duration) {

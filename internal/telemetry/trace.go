@@ -1,5 +1,5 @@
 // Trace-context propagation. A trace ID is minted once per report
-// batch at the edge (client or HTTP ingest), rides the gob-TCP Frame
+// batch at the edge (client or HTTP ingest), rides the framed TCP Frame
 // and the X-Idldp-Trace HTTP header into the ingestion runtime, stamps
 // the deltas that runtime publishes, and is carried on every delta
 // push up the merger tiers — so one batch is followable from a node to

@@ -12,7 +12,7 @@ import (
 )
 
 // TestHeartbeatTelemetryOverTCP proves the packed snapshot survives the
-// gob frame round trip: a real node announces over TCP, its heartbeats
+// frame round trip: a real node announces over TCP, its heartbeats
 // carry telemetry, and the merger's federation converges to a fold that
 // is bit-exact equal to the node's own snapshot.
 func TestHeartbeatTelemetryOverTCP(t *testing.T) {

@@ -1,4 +1,4 @@
-// The gob-TCP face of the fleet control plane (internal/registry): a
+// The framed-TCP face of the fleet control plane (internal/registry): a
 // merger listens with ServeRegistry, nodes dial with DialRegistry and
 // speak the Register / Heartbeat / DeltaPush frames defined in Frame.
 // Every control frame is answered on the same connection — an ack with
@@ -11,7 +11,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"strings"
@@ -96,11 +95,13 @@ func (s *RegistryServer) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	r := newFrameReader(conn, 0)
+	w := frameWriter{w: conn}
 	for {
-		var f Frame // control frames are low-rate; fresh decode state per frame
-		if err := dec.Decode(&f); err != nil {
+		// Control frames are low-rate and the registry keeps their slices
+		// (packed deltas, MACs): a fresh Frame per frame, no reuse.
+		var f Frame
+		if err := r.read(&f); err != nil {
 			return
 		}
 		var reply Frame
@@ -144,7 +145,7 @@ func (s *RegistryServer) handle(conn net.Conn) {
 		default:
 			return
 		}
-		if enc.Encode(reply) != nil {
+		if w.send(&reply) != nil {
 			return
 		}
 	}
@@ -176,7 +177,7 @@ func (s *RegistryServer) Close() error {
 
 // DialControlPlane maps a merger target to an AnnounceConfig dialer:
 // "http://…" and "https://…" targets use the HTTP control plane,
-// "tcp://host:port" and bare "host:port" the gob-TCP one — the one
+// "tcp://host:port" and bare "host:port" the framed-TCP one — the one
 // place the scheme decision lives for the facade and both CLIs.
 func DialControlPlane(target string) func(ctx context.Context) (registry.Conn, error) {
 	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
@@ -191,8 +192,8 @@ func DialControlPlane(target string) func(ctx context.Context) (registry.Conn, e
 type RegistryConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	w    frameWriter
+	r    *frameReader
 }
 
 // DialRegistry connects to a merger's control plane at addr.
@@ -209,7 +210,7 @@ func DialRegistry(ctx context.Context, addr string) (*RegistryConn, error) {
 // already-established connection — the hook for interposing wrapped
 // conns (fault injection, tunnels) between announcer and merger.
 func NewRegistryConn(conn net.Conn) *RegistryConn {
-	return &RegistryConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
+	return &RegistryConn{conn: conn, w: frameWriter{w: conn}, r: newFrameReader(conn, 0)}
 }
 
 // roundTrip sends one frame and decodes the reply, bounded by the
@@ -224,12 +225,9 @@ func (c *RegistryConn) roundTrip(ctx context.Context, f Frame) (Frame, error) {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return Frame{}, fmt.Errorf("transport: %w", err)
 	}
-	if err := c.enc.Encode(f); err != nil {
-		return Frame{}, fmt.Errorf("transport: %w", err)
-	}
 	var reply Frame
-	if err := c.dec.Decode(&reply); err != nil {
-		return Frame{}, fmt.Errorf("transport: %w", err)
+	if err := exchange(&c.w, c.r, &f, &reply); err != nil {
+		return Frame{}, err
 	}
 	return reply, nil
 }

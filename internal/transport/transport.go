@@ -1,19 +1,63 @@
 // Package transport implements a minimal network deployment of the
 // collection pipeline: users (clients) stream perturbed reports to an
-// aggregation server over TCP as gob-encoded frames. Only perturbed data
-// ever crosses the wire, matching the paper's threat model — the server
-// is untrusted and never sees raw inputs.
+// aggregation server over TCP as self-delimiting binary frames. Only
+// perturbed data ever crosses the wire, matching the paper's threat
+// model — the server is untrusted and never sees raw inputs.
 //
-// The wire protocol is a gob stream of Frame values per connection. A
-// frame carries one report (the packed words of a bit vector), a
+// A frame carries one report (the packed words of a bit vector), a
 // pre-summed batch (per-bit counts plus a user count) — which lets heavy
 // clients aggregate locally and ship O(m) bytes total — or a snapshot
 // request, answered with a snapshot frame holding the server's current
 // merged counts; the fleet merger (internal/fleet) polls these to build
 // an exact cross-node aggregate. Snapshot replies are varpack-compressed
-// when the requester advertises support (see Frame), cutting the
-// dominant fleet-poll payload several-fold; older peers transparently
-// keep the plain form.
+// when the requester asks for it (Frame.AcceptPacked). The same frames
+// carry the fleet control plane (registry.go).
+//
+// # Wire layout
+//
+// Each direction of a connection starts with a 4-byte preamble, "IDF"
+// plus a version byte (1); a peer that sends anything else is dropped on
+// those four bytes. Frames follow back to back:
+//
+//	kind      1 byte, a FrameKind (1..9)
+//	presence  uvarint bitmap, bit i set iff the i-th Frame field after
+//	          Kind is non-zero (non-empty for slices and strings)
+//	fields    the present fields in declaration order:
+//	          Words            uvarint count, then count x 8 bytes, each a
+//	                           little-endian uint64 (m = 1024: 128 bytes)
+//	          Counts           uvarint count, then count zigzag varints
+//	          int, int64       zigzag varint
+//	          uint64           uvarint
+//	          []byte, string   uvarint length, then the bytes
+//	          bool             nothing: the presence bit is the value
+//
+// A report at m = 1024 is 133 bytes. There is no per-frame length: a
+// decoder knows every field's extent from its prefix, and checks that
+// prefix against a cap before it allocates or reads anything: Words at
+// most 2^18 (a 2^24-bit domain), Counts 2^24, Packed 64 MB, MAC 64
+// bytes, strings 4 KB. An ingest server tightens the first two to its
+// own domain (Words <= ceil(m/64), Counts <= m). A preamble mismatch, an
+// unknown kind, a presence bit past the last known field or a length
+// over its cap ends the connection, as does a report or batch the
+// runtime refuses (Bits != m, counts outside [0, n]); the server counts
+// each such drop in ingest_malformed_total and keeps serving everyone
+// else.
+//
+// Compatibility is the version byte: fields may be appended to Frame
+// under the same version only if every deployed decoder already knows
+// them, because an unknown presence bit is an error, not something to
+// skip. Anything else bumps the version.
+//
+// # Flush rule
+//
+// Writes are coalesced. SendReport and SendBatch copy the frame into the
+// connection's write buffer and return — the caller may overwrite its
+// vector immediately. The buffer goes to the socket in one Write when it
+// reaches 32 KB, before the client reads anything (SendReportAck,
+// SendBatchAck, Snapshot), on Client.Flush and on Client.Close. There is
+// no timer: a client that streams fewer than 32 KB and then goes quiet
+// must Flush (or Close) for the server to see the tail. Replies (acks,
+// snapshots, control-plane answers) are flushed as they are written.
 //
 // Ingestion runs on the sharded runtime of internal/server: each
 // connection handler owns a server.Batcher that folds single-report
@@ -24,7 +68,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -75,14 +118,16 @@ const (
 	FrameAck FrameKind = 9
 )
 
-// Frame is the wire message. AcceptPacked/Packed negotiate the compact
-// snapshot encoding: a requester that understands varpack-packed counts
-// sets AcceptPacked on its snapshot request, and the server then answers
-// with Packed instead of Counts. gob ignores struct fields the peer does
-// not declare, so either side may be older: an old server never sees
-// AcceptPacked and replies with plain Counts, an old client never sets
-// it and is never sent Packed — and old peers never see the
-// control-plane fields at all.
+// Frame is the wire message: one struct for all nine kinds, each kind
+// using the fields its comment names and leaving the rest zero. Zero
+// fields are not sent (see the package doc for the layout), so a report
+// costs its words plus five bytes. Field order is wire order: append new
+// fields at the end, and see the package doc's compatibility rule first.
+//
+// AcceptPacked/Packed negotiate the compact snapshot encoding: a
+// requester that wants varpack-packed counts sets AcceptPacked on its
+// snapshot request and is answered with Packed instead of Counts; one
+// that does not is answered with plain Counts.
 type Frame struct {
 	Kind   FrameKind
 	Words  []uint64 // FrameReport: packed bit vector
@@ -134,8 +179,7 @@ type Frame struct {
 	// context of the report batch this frame carries (or, on a delta
 	// push, the representative trace of the interval). It follows one
 	// batch from the client edge through ingest, fold, delta publish
-	// and every merger tier (see internal/telemetry). Old peers simply
-	// never see the field.
+	// and every merger tier (see internal/telemetry).
 	Trace string
 }
 
@@ -253,29 +297,22 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	var enc *gob.Encoder // lazily created on the first ack or snapshot request
-	ack := func(reply Frame) bool {
-		if enc == nil {
-			enc = gob.NewEncoder(conn)
-		}
-		reply.Kind = FrameAck
-		return enc.Encode(reply) == nil
+	r := newFrameReader(conn, s.bits)
+	w := frameWriter{w: conn}
+	ack := func(f Frame) bool {
+		f.Kind = FrameAck
+		return w.send(&f) == nil
 	}
-	// One Frame for the whole stream: gob reuses the slices' backing
-	// arrays once they have grown, so the steady-state decode path — and
-	// the AddWords ingest behind it — allocates nothing per report.
+	// One Frame for the whole stream, decoded in place: once its slices
+	// have grown, the steady-state decode path — and the AddWords ingest
+	// behind it — allocates nothing per report.
 	var f Frame
 	for {
-		// Reset in place, keeping capacity. gob omits zero-valued fields
-		// on encode, so without this a field absent from the next frame
-		// would silently retain the previous frame's value.
-		f.Kind, f.Bits, f.N, f.AcceptPacked = 0, 0, 0, false
-		f.Node, f.Session, f.TimeNano, f.Trace = "", 0, 0, ""
-		f.WantAck, f.Shed, f.RetryAfterNano = false, false, 0
-		f.Words, f.Counts, f.Packed, f.MAC = f.Words[:0], f.Counts[:0], f.Packed[:0], f.MAC[:0]
-		if err := dec.Decode(&f); err != nil {
-			return // EOF or malformed stream ends the connection
+		if err := r.read(&f); err != nil {
+			if errors.Is(err, errMalformed) {
+				s.sink.NoteMalformed()
+			}
+			return // EOF, a failed connection or a malformed stream ends it
 		}
 		if f.Trace != "" && (f.Kind == FrameReport || f.Kind == FrameBatch) {
 			// Representative trace: the latest traced batch stamps the
@@ -285,7 +322,8 @@ func (s *Server) handle(conn net.Conn) {
 		switch f.Kind {
 		case FrameReport:
 			if !f.WantAck {
-				if batcher.AddWords(f.Words, f.Bits) != nil {
+				if err := batcher.AddWords(f.Words, f.Bits); err != nil {
+					s.noteRefused(err)
 					return
 				}
 				continue
@@ -321,7 +359,8 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		case FrameBatch:
 			if !f.WantAck {
-				if batcher.AddCounts(f.Counts, f.N) != nil {
+				if err := batcher.AddCounts(f.Counts, f.N); err != nil {
+					s.noteRefused(err)
 					return
 				}
 				continue
@@ -350,13 +389,10 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 		case FrameSnapshotRequest:
-			if enc == nil {
-				enc = gob.NewEncoder(conn)
-			}
 			if err := s.snapAuth.Verify(f.MAC, registry.KindSnapshot, f.Node, 0, f.TimeNano, nil, time.Now()); err != nil {
 				// Refuse the read but keep the connection: its ingest
 				// frames carry only perturbed data and stay welcome.
-				if enc.Encode(Frame{Kind: FrameAck, Err: err.Error()}) != nil {
+				if !ack(Frame{Err: err.Error()}) {
 					return
 				}
 				continue
@@ -369,18 +405,28 @@ func (s *Server) handle(conn net.Conn) {
 				return
 			}
 			counts, n := s.sink.Snapshot()
-			reply := Frame{Kind: FrameSnapshot, N: n, Bits: s.bits}
+			snap := Frame{Kind: FrameSnapshot, N: n, Bits: s.bits}
 			if f.AcceptPacked {
-				reply.Packed = varpack.Pack(counts)
+				snap.Packed = varpack.Pack(counts)
 			} else {
-				reply.Counts = counts
+				snap.Counts = counts
 			}
-			if enc.Encode(reply) != nil {
+			if w.send(&snap) != nil {
 				return
 			}
 		default:
+			s.sink.NoteMalformed() // a well-formed frame no ingest server takes
 			return
 		}
+	}
+}
+
+// noteRefused counts a connection about to be dropped because the
+// runtime refused its frame's content (wrong domain size, counts outside
+// [0, n]) — unless the runtime merely closed under it.
+func (s *Server) noteRefused(err error) {
+	if !errors.Is(err, server.ErrClosed) {
+		s.sink.NoteMalformed()
 	}
 }
 
@@ -430,11 +476,12 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Client streams reports to a Server.
+// Client streams reports to a Server. Sends are buffered (see the
+// package doc's flush rule); a Client is not safe for concurrent use.
 type Client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	w    frameWriter
+	r    *frameReader
 	auth *registry.Authenticator
 
 	// Flow control for the acked send paths (SetRetryPolicy; defaults
@@ -456,7 +503,11 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
+	return &Client{conn: conn, w: frameWriter{w: conn}, r: newFrameReader(conn, 0)}
 }
 
 // SetDeadline bounds every subsequent read and write on the connection —
@@ -481,23 +532,20 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // Snapshot asks the server for its current merged state. The reply is
-// consistent with every frame this client has already sent (the server
-// flushes the connection's batcher before answering). The request
-// advertises AcceptPacked, so a current server answers with the compact
-// varpack payload; a plain Counts reply from an older server decodes
-// the same.
+// consistent with every frame this client has already sent (the write
+// buffer is flushed with the request, and the server flushes the
+// connection's batcher before answering). The request sets AcceptPacked,
+// so the server answers with the compact varpack payload; a plain Counts
+// reply decodes the same.
 func (c *Client) Snapshot() (counts []int64, n int64, bits int, err error) {
 	req := Frame{Kind: FrameSnapshotRequest, AcceptPacked: true}
 	if c.auth != nil {
 		req.TimeNano = time.Now().UnixNano()
 		req.MAC = c.auth.Sign(registry.KindSnapshot, "", 0, req.TimeNano, nil)
 	}
-	if err := c.enc.Encode(req); err != nil {
-		return nil, 0, 0, fmt.Errorf("transport: %w", err)
-	}
 	var f Frame
-	if err := c.dec.Decode(&f); err != nil {
-		return nil, 0, 0, fmt.Errorf("transport: %w", err)
+	if err := exchange(&c.w, c.r, &req, &f); err != nil {
+		return nil, 0, 0, err
 	}
 	if f.Kind == FrameAck {
 		return nil, 0, 0, fmt.Errorf("transport: snapshot refused: %w", registry.Errs(f.Err))
@@ -515,21 +563,30 @@ func (c *Client) Snapshot() (counts []int64, n int64, bits int, err error) {
 		}
 		return counts, f.N, f.Bits, nil
 	}
-	if f.Counts == nil {
-		f.Counts = make([]int64, f.Bits) // defensive: gob omits empty slices
+	if len(f.Counts) != f.Bits {
+		return nil, 0, 0, fmt.Errorf("transport: snapshot has %d counts for %d bits", len(f.Counts), f.Bits)
 	}
 	return f.Counts, f.N, f.Bits, nil
 }
 
-// SendReport ships one perturbed report.
+// SendReport queues one perturbed report. v is copied into the write
+// buffer, so the caller may overwrite it as soon as SendReport returns;
+// the report reaches the server with the next flush (see Flush).
 func (c *Client) SendReport(v *bitvec.Vector) error {
-	return c.enc.Encode(Frame{Kind: FrameReport, Words: v.Words(), Bits: v.Len(), Trace: c.trace})
+	return c.w.write(&Frame{Kind: FrameReport, Words: v.Words(), Bits: v.Len(), Trace: c.trace})
 }
 
-// SendBatch ships a locally aggregated batch.
+// SendBatch queues a locally aggregated batch; see SendReport.
 func (c *Client) SendBatch(a *agg.Aggregator) error {
-	return c.enc.Encode(Frame{Kind: FrameBatch, Counts: a.Counts(), N: a.N(), Trace: c.trace})
+	return c.w.write(&Frame{Kind: FrameBatch, Counts: a.Counts(), N: a.N(), Trace: c.trace})
 }
+
+// Flush writes every queued frame to the connection. Sends flush by
+// themselves only when the buffer fills or the client is about to read a
+// reply (the acked sends, Snapshot); call Flush after the last SendReport
+// or SendBatch of a burst, and check its error — that is where a lost
+// tail shows. Close flushes too.
+func (c *Client) Flush() error { return c.w.flush() }
 
 // SetRetryPolicy configures the acked send paths' flow control: the
 // backoff schedule and a deterministic jitter seed. Without it, acked
@@ -571,12 +628,9 @@ func (c *Client) sendAcked(ctx context.Context, f Frame) error {
 		if err := c.conn.SetDeadline(time.Now().Add(p.PerAttempt)); err != nil {
 			return fmt.Errorf("transport: %w", err)
 		}
-		if err := c.enc.Encode(&f); err != nil {
-			return fmt.Errorf("transport: %w", err)
-		}
 		var ack Frame
-		if err := c.dec.Decode(&ack); err != nil {
-			return fmt.Errorf("transport: %w", err)
+		if err := exchange(&c.w, c.r, &f, &ack); err != nil {
+			return err
 		}
 		if ack.Kind != FrameAck {
 			return fmt.Errorf("transport: unexpected frame kind %d in ingest ack", ack.Kind)
@@ -604,10 +658,15 @@ func (c *Client) sendAcked(ctx context.Context, f Frame) error {
 	}
 }
 
-// Close closes the connection. The server keeps everything already
-// decoded.
+// Close flushes the write buffer and closes the connection. A flush
+// error is returned in preference to the close error: it means queued
+// reports never left. The server keeps everything it already decoded.
 func (c *Client) Close() error {
+	ferr := c.w.flush()
 	err := c.conn.Close()
+	if ferr != nil {
+		return ferr
+	}
 	if err != nil && !errors.Is(err, io.ErrClosedPipe) {
 		return err
 	}

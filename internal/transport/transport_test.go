@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"math"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +19,7 @@ import (
 	"idldp/internal/core"
 	"idldp/internal/rng"
 	"idldp/internal/server"
+	"idldp/internal/telemetry"
 	"idldp/internal/varpack"
 )
 
@@ -125,52 +130,107 @@ func TestManyConcurrentClients(t *testing.T) {
 	waitFor(t, func() bool { _, n := s.Snapshot(); return n == clients*per })
 }
 
+// TestMalformedFrameDropsConnection: every way a peer can send something
+// that is not a valid frame for this server drops that connection, is
+// counted in ingest_malformed_total, folds nothing — and leaves the
+// server serving everyone else.
 func TestMalformedFrameDropsConnection(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", 8)
+	tel := telemetry.NewRegistry("idldp")
+	sink, err := server.New(8, server.WithTelemetry(tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ServeSink("127.0.0.1:0", sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Wrong report length.
-	c, err := Dial(context.Background(), s.Addr())
+	// A well-behaved client connected before the malformed traffic, used
+	// after it.
+	good, err := Dial(context.Background(), s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := bitvec.New(4)
-	v.Set(0)
-	if err := c.SendReport(v); err != nil {
+	defer good.Close()
+
+	frame := func(f Frame) []byte { return appendFrame(preamble[:], &f) }
+	raw := func(kind FrameKind, presence uint64, rest ...byte) []byte {
+		b := append(preamble[:], byte(kind))
+		return append(binary.AppendUvarint(b, presence), rest...)
+	}
+	overCap := binary.AppendUvarint(nil, 1<<40)
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(struct{ Kind uint8 }{1}); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
+	cases := []struct {
+		name  string
+		bytes []byte
+	}{
+		{"bits != domain", frame(Frame{Kind: FrameReport, Words: []uint64{1}, Bits: 4})},
+		{"wrong preamble (a gob-speaking peer)", gobHello.Bytes()},
+		{"garbage bytes", []byte("not a frame at all")},
+		{"unknown kind", raw(99, 0)},
+		{"kind zero", raw(0, 0)},
+		{"kind no ingest server takes", frame(Frame{Kind: FrameAck})},
+		{"unknown presence bit", raw(FrameReport, knownFields+1)},
+		{"words over the domain's cap", raw(FrameReport, hasWords, 2)},
+		{"words length 2^40", raw(FrameReport, hasWords, overCap...)},
+		{"counts length 2^40", raw(FrameBatch, hasCounts, overCap...)},
+		{"packed length 2^40", raw(FrameSnapshotRequest, hasPacked, overCap...)},
+		{"varint overflow", raw(FrameReport, hasBits, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)},
+		{"bad batch (negative n)", frame(Frame{Kind: FrameBatch, Counts: make([]int64, 8), N: -5})},
+	}
+	for _, tc := range cases {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The server must hang up on its own: the connection stays open
+		// from this side until the read sees it end.
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: connection not dropped (read err %v)", tc.name, err)
+		}
+		conn.Close()
+	}
+	malformedTotal := func() int64 { return tel.Snapshot().Counter("ingest_malformed_total") }
+	waitFor(t, func() bool { return malformedTotal() == int64(len(cases)) })
 
-	// Unknown frame kind.
-	conn, err := net.Dial("tcp", s.Addr())
+	// A peer that just hangs up — before or in the middle of a frame —
+	// is not malformed.
+	for _, b := range [][]byte{nil, preamble[:2], raw(FrameReport, hasWords, 1, 0xaa)} {
+		conn, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(b)
+		conn.Close()
+	}
+	waitFor(t, func() bool { // every handler but the good client's has ended
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.conns) == 1
+	})
+
+	v := bitvec.New(8)
+	v.Set(2)
+	if err := good.SendReport(v); err != nil {
+		t.Fatal(err)
+	}
+	counts, n, _, err := good.Snapshot()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("server stopped serving after malformed traffic: %v", err)
 	}
-	gob.NewEncoder(conn).Encode(Frame{Kind: 99})
-	conn.Close()
-
-	// Garbage bytes.
-	conn2, err := net.Dial("tcp", s.Addr())
-	if err != nil {
-		t.Fatal(err)
+	if n != 1 || counts[2] != 1 {
+		t.Fatalf("after malformed traffic: n=%d counts=%v, want only the good client's report", n, counts)
 	}
-	conn2.Write([]byte("not gob at all"))
-	conn2.Close()
-
-	// Bad batch (negative n).
-	c2, err := Dial(context.Background(), s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.enc.Encode(Frame{Kind: FrameBatch, Counts: make([]int64, 8), N: -5})
-	c2.Close()
-
-	time.Sleep(50 * time.Millisecond)
-	if _, n := s.Snapshot(); n != 0 {
-		t.Fatalf("malformed traffic aggregated: n=%d", n)
+	if got := malformedTotal(); got != int64(len(cases)) {
+		t.Fatalf("ingest_malformed_total = %d, want %d", got, len(cases))
 	}
 }
 
@@ -413,11 +473,8 @@ func TestLegacySnapshotRequestGetsPlainCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Speak the wire protocol by hand, like a pre-varpack client.
-	if err := c.enc.Encode(Frame{Kind: FrameSnapshotRequest}); err != nil {
-		t.Fatal(err)
-	}
 	var f Frame
-	if err := c.dec.Decode(&f); err != nil {
+	if err := exchange(&c.w, c.r, &Frame{Kind: FrameSnapshotRequest}, &f); err != nil {
 		t.Fatal(err)
 	}
 	if f.Kind != FrameSnapshot {

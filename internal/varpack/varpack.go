@@ -13,7 +13,7 @@
 // varint); version 0 is the legacy fixed 8-byte little-endian form, so a
 // peer that has the packed decoder can read frames from one that does
 // not, and the version byte leaves room to evolve the encoding again.
-// Negotiation is the transport's job: the gob-TCP snapshot request
+// Negotiation is the transport's job: the framed TCP snapshot request
 // carries an accept-packed flag and the HTTP snapshot endpoint a
 // ?format=packed query, so old peers keep receiving the plain form.
 package varpack
