@@ -168,6 +168,16 @@ func run(w io.Writer, cfg config) error {
 	if cfg.window < 0 {
 		return fmt.Errorf("-window must be non-negative")
 	}
+	// A long-running merger catches SIGINT/SIGTERM before its first
+	// listener starts: once /v1/readyz answers 200 an orchestrator may
+	// signal at any moment, and a signal with no handler installed kills
+	// the process instead of draining it. -once keeps the default
+	// disposition, so an interrupt still ends a poll that hangs.
+	stop := make(chan os.Signal, 1)
+	if !cfg.once {
+		signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+		defer signal.Stop(stop)
+	}
 	logger := telemetry.NewLogger(os.Stderr, cfg.logLevel, cfg.logJSON, "idldp-merge", cfg.name)
 	tel := telemetry.NewRegistry("idldp")
 	tel.RegisterBuildInfo(time.Now())
@@ -462,8 +472,6 @@ func run(w io.Writer, cfg config) error {
 		return nil
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if cfg.duration > 0 {

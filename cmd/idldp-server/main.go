@@ -196,6 +196,13 @@ func parseAdaptive(spec string) (min, max int, err error) {
 }
 
 func run(cfg config) error {
+	// Catch SIGINT/SIGTERM before the first listener starts: once
+	// /v1/readyz answers 200 an orchestrator may signal at any moment,
+	// and a signal with no handler installed kills the process instead
+	// of draining it.
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
+	defer signal.Stop(stop)
 	logger := telemetry.NewLogger(os.Stderr, cfg.logLevel, cfg.logJSON, "idldp-server", cfg.nodeName)
 	tel := telemetry.NewRegistry("idldp")
 	tel.RegisterBuildInfo(time.Now())
@@ -356,8 +363,6 @@ func run(cfg config) error {
 		logger.Info("announcing", "target", cfg.announceTarget, "name", name)
 	}
 
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, syscall.SIGINT, syscall.SIGTERM)
 	if cfg.duration > 0 {
 		select {
 		case <-stop:

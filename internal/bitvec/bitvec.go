@@ -3,6 +3,31 @@
 // an m-bit vector; with m up to tens of thousands of items and millions of
 // users, packing 64 bits per word matters for both memory and the
 // aggregation hot loop.
+//
+// The collector's summation step (counts[i] += bit i of every report)
+// exists twice. Vector.AccumulateInto / AccumulateWordsInto walk one
+// report's set bits: the single-report path, and the scalar reference.
+// Lanes is the batch path, a bit-sliced ("vertical counter") fold:
+//
+//   - Layout. For each 64-bit word column w of the report there are 16
+//     planes; plane p holds bit p of 64 independent counters, one per bit
+//     position of the column. Adding a report word to the column is then
+//     64 additions done with a few AND/XOR/OR word operations.
+//   - Blocks. Reports are staged 16 at a time, stored column-major so a
+//     column's 16 rows are contiguous. One tree of 15 carry-save adders
+//     per column adds the 16 rows into planes 0–3; its single carry-out
+//     (weight 16) ripples into planes 4 and up.
+//   - Plane cap. Sixteen planes count to LaneCap = 65535. The fold tracks
+//     how many reports the planes hold and drains them into the caller's
+//     counts before another block could pass the cap, so a batch of any
+//     length stays exact.
+//   - Partial blocks. Drain folds a block of fewer than 16 reports with
+//     its missing rows set to zero. Zero rows change no counter, so the
+//     one kernel serves every batch length and there is no scalar tail
+//     path that could drift from it.
+//   - Drain. Planes become ordinary int64 counts eight planes at a time:
+//     a shift and a byte mask line up eight counters' bits in the eight
+//     byte lanes of a word, and each plane contributes its weight.
 package bitvec
 
 import (
@@ -143,9 +168,9 @@ func (v *Vector) Ones() []int {
 }
 
 // AccumulateInto adds each bit of v into counts: counts[i] += bit(i).
-// counts must have length at least v.Len(). This is the aggregation hot
-// path on the server side (summation step of the frequency-estimation
-// protocol).
+// counts must have length at least v.Len(). This is the summation step
+// of the frequency-estimation protocol for one report; batches go
+// through Lanes.
 func (v *Vector) AccumulateInto(counts []int64) {
 	if len(counts) < v.n {
 		panic("bitvec: counts shorter than vector")
@@ -164,11 +189,9 @@ func (v *Vector) AccumulateInto(counts []int64) {
 // word). The slice must not be modified; it is shared with the vector.
 func (v *Vector) Words() []uint64 { return v.words }
 
-// AccumulateWordsInto validates raw words against length n (the same
-// checks as FromWords) and adds each set bit into counts, without
-// materializing a Vector. It is the zero-allocation ingest path for
-// reports that arrive as packed words.
-func AccumulateWordsInto(words []uint64, n int, counts []int64) error {
+// checkWords is the validation every raw-words entry point shares: the
+// word count must match length n and no padding bit beyond n may be set.
+func checkWords(words []uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("bitvec: negative length %d", n)
 	}
@@ -181,6 +204,18 @@ func AccumulateWordsInto(words []uint64, n int, counts []int64) error {
 		if words[want-1]&mask != 0 {
 			return fmt.Errorf("bitvec: padding bits set beyond length %d", n)
 		}
+	}
+	return nil
+}
+
+// AccumulateWordsInto validates raw words against length n (the same
+// checks as FromWords) and adds each set bit into counts, without
+// materializing a Vector. It is the zero-allocation single-report path
+// (agg.Aggregator) and the scalar reference the Lanes batch fold is
+// tested against.
+func AccumulateWordsInto(words []uint64, n int, counts []int64) error {
+	if err := checkWords(words, n); err != nil {
+		return err
 	}
 	if len(counts) < n {
 		return fmt.Errorf("bitvec: counts has %d entries for length %d", len(counts), n)
@@ -200,18 +235,8 @@ func AccumulateWordsInto(words []uint64, n int, counts []int64) error {
 // by Words. It returns an error if the word count does not match n or a
 // padding bit beyond n is set.
 func FromWords(words []uint64, n int) (*Vector, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("bitvec: negative length %d", n)
-	}
-	want := (n + 63) / 64
-	if len(words) != want {
-		return nil, fmt.Errorf("bitvec: got %d words for length %d, want %d", len(words), n, want)
-	}
-	if n%64 != 0 && want > 0 {
-		mask := ^uint64(0) << uint(n%64)
-		if words[want-1]&mask != 0 {
-			return nil, fmt.Errorf("bitvec: padding bits set beyond length %d", n)
-		}
+	if err := checkWords(words, n); err != nil {
+		return nil, err
 	}
 	v := New(n)
 	copy(v.words, words)

@@ -9,11 +9,22 @@
 //     goroutine, so ingestion is lock-free by construction.
 //   - Producers feed shards over buffered channels. A full queue blocks
 //     the producer — backpressure instead of unbounded memory.
-//   - Producers batch: a Batcher accumulates reports into per-bit counts
-//     (word-level popcount via bitvec.AccumulateInto) and ships one frame
-//     per BatchSize reports through the Aggregator.AddCounts path, so the
-//     per-report cost is a few bit operations, no channel send and no
-//     allocation.
+//   - Producers batch: a Batcher sums reports with the bit-sliced lane
+//     fold of internal/bitvec (bitvec.Lanes). A report is validated and
+//     staged; every 16 staged reports go through one carry-save-adder
+//     tree per 64-bit word column into vertical counters, so the
+//     per-report cost is a few word operations per report word — not one
+//     step per set bit — with no channel send and no allocation.
+//   - Flush drains the vertical counters into the batch's []int64 frame
+//     (where Batcher.AddCounts accumulates directly) and ships the frame
+//     through the Aggregator.AddCounts path, one per BatchSize reports.
+//     The drain is the only place counts are materialized, and a batch
+//     target above the fold's plane cap only adds an intermediate drain
+//     into the same frame.
+//   - Frames are recycled: the shard worker hands each frame it has
+//     folded to a per-Server free list, and the next Flush clears and
+//     refills one instead of allocating. This is why AddCounts owns the
+//     slice it is given.
 //   - Snapshot pushes a marker through every shard queue and merges the
 //     replies, so reads are consistent with all previously enqueued
 //     ingestion while new reports keep flowing.
@@ -242,6 +253,11 @@ type Server struct {
 	batchSize int
 	shards    []*shard
 	next      atomic.Uint64 // round-robin shard cursor
+	// free holds count frames the shard workers have finished folding,
+	// for Batcher.Flush to clear and refill instead of allocating one
+	// per flush. Both ends are non-blocking: an empty list allocates, a
+	// full one leaves the frame to the garbage collector.
+	free chan []int64
 
 	// Adaptive batching (zero without WithAdaptiveBatch). shedArmed is
 	// set only when the *unclamped* rate-derived target reaches the max
@@ -336,6 +352,9 @@ func New(bits int, opts ...Option) (*Server, error) {
 		o.queueDepth = DefaultQueueDepth
 	}
 	s := &Server{bits: bits, batchSize: o.batchSize, shards: make([]*shard, o.shards), start: time.Now()}
+	// Sized to the frames that can be at the shards at once (queued or
+	// being folded): more than that cannot come back before being reused.
+	s.free = make(chan []int64, o.shards*(o.queueDepth+1))
 	s.rate.tau = DefaultRateTau.Seconds()
 	if o.adaptive {
 		s.adaptive, s.adaptMin, s.adaptMax = true, o.adaptMin, o.adaptMax
@@ -722,6 +741,9 @@ func (s *Server) worker(sh *shard) {
 		if timed {
 			s.hFold.ObserveSince(start)
 		}
+		if msg.counts != nil {
+			s.recycle(msg.counts)
+		}
 	}
 }
 
@@ -826,7 +848,8 @@ func (s *Server) Add(v *bitvec.Vector) error {
 }
 
 // AddCounts ingests a pre-summed batch. The server takes ownership of
-// counts; the caller must not reuse the slice.
+// counts and may recycle the slice as a later frame once it is folded:
+// the caller must neither write nor read it after the call.
 func (s *Server) AddCounts(counts []int64, n int64) error {
 	if err := validateBatch(s.bits, counts, n); err != nil {
 		return err
@@ -841,7 +864,7 @@ func (s *Server) AddCounts(counts []int64, n int64) error {
 // a full queue blocks, the saturation guard never sheds. The placement
 // for surfaces that already passed Admit — having accepted the batch,
 // dropping it silently would contradict the acceptance. The server
-// takes ownership of counts.
+// takes ownership of counts, as in AddCounts.
 func (s *Server) AddCountsBlocking(counts []int64, n int64) error {
 	if err := validateBatch(s.bits, counts, n); err != nil {
 		return err
@@ -880,6 +903,7 @@ func (s *Server) sendCounts(counts []int64, n int64) error {
 		s.mu.RUnlock()
 		s.shedReports.Add(n)
 		s.shedFrames.Add(1)
+		s.recycle(counts)
 		return nil
 	}
 	if err := s.send(shardMsg{counts: counts, n: n}); err != nil {
@@ -902,6 +926,25 @@ func (s *Server) sendCountsBlocking(counts []int64, n int64) error {
 	s.reports.Add(n)
 	s.frames.Add(1)
 	return nil
+}
+
+// frame returns an all-zero count frame, recycled when one is free.
+func (s *Server) frame() []int64 {
+	select {
+	case f := <-s.free:
+		clear(f)
+		return f
+	default:
+		return make([]int64, s.bits)
+	}
+}
+
+// recycle offers a frame the runtime is done with to the free list.
+func (s *Server) recycle(f []int64) {
+	select {
+	case s.free <- f:
+	default:
+	}
 }
 
 func validateBatch(bits int, counts []int64, n int64) error {
@@ -1102,8 +1145,13 @@ func (s *Server) Drain() (counts []int64, n int64, err error) {
 // when a batch fills, so a Close of the server surfaces as ErrClosed at
 // the next full batch or Flush, not on every Add — producers must stop
 // adding once they initiate Close.
+//
+// Reports are summed by a bitvec.Lanes block fold, not bit by bit: Add
+// and AddWords stage the report, and Flush drains the fold into counts —
+// the frame — together with whatever AddCounts put there directly.
 type Batcher struct {
 	s      *Server
+	lanes  *bitvec.Lanes
 	counts []int64
 	n      int64
 	mode   batcherMode
@@ -1127,45 +1175,35 @@ const (
 	batchReject
 )
 
+func (s *Server) newBatcher(mode batcherMode) *Batcher {
+	return &Batcher{s: s, lanes: bitvec.NewLanes(s.bits), counts: s.frame(), mode: mode}
+}
+
 // NewBatcher returns an empty batcher feeding s with the legacy
 // shed-on-saturation placement.
-func (s *Server) NewBatcher() *Batcher {
-	return &Batcher{s: s, counts: make([]int64, s.bits)}
-}
+func (s *Server) NewBatcher() *Batcher { return s.newBatcher(batchShed) }
 
 // NewBlockingBatcher returns a batcher that never sheds: saturated
 // queues block its flushes instead of dropping the frame. Acked ingest
 // paths use it — admission is decided before the fold (Admit), and an
 // admitted report must reach a shard.
-func (s *Server) NewBlockingBatcher() *Batcher {
-	return &Batcher{s: s, counts: make([]int64, s.bits), mode: batchBlock}
-}
+func (s *Server) NewBlockingBatcher() *Batcher { return s.newBatcher(batchBlock) }
 
 // NewRejectBatcher returns a batcher whose flushes push back instead of
 // shedding or blocking: when the runtime is draining or saturated,
 // Flush (and the auto-flush inside Add/AddWords/AddCounts) returns
 // ErrDraining/ErrSaturated with the pending batch KEPT. The report that
-// triggered the auto-flush is already folded into the pending counts —
-// on pushback, retry Flush only; re-Adding the report would double it.
-func (s *Server) NewRejectBatcher() *Batcher {
-	return &Batcher{s: s, counts: make([]int64, s.bits), mode: batchReject}
-}
+// triggered the auto-flush is already part of the pending batch — on
+// pushback, retry Flush only; re-Adding the report would double it.
+func (s *Server) NewRejectBatcher() *Batcher { return s.newBatcher(batchReject) }
 
 // Add accumulates one report, shipping a frame when the batch is full.
-// v is folded into the pending counts before Add returns and is never
+// v is copied into the pending batch before Add returns and is never
 // retained, so producers on the allocation-free path may hand Add the
 // same buffer every call (overwriting it between calls with a *Into
 // perturbation).
 func (b *Batcher) Add(v *bitvec.Vector) error {
-	if v.Len() != b.s.bits {
-		return fmt.Errorf("server: report has %d bits, domain has %d", v.Len(), b.s.bits)
-	}
-	v.AccumulateInto(b.counts)
-	b.n++
-	if b.n >= b.s.batchTarget() {
-		return b.Flush()
-	}
-	return nil
+	return b.AddWords(v.Words(), v.Len())
 }
 
 // AddWords accumulates one report given as packed words, validating it
@@ -1175,7 +1213,7 @@ func (b *Batcher) AddWords(words []uint64, bits int) error {
 	if bits != b.s.bits {
 		return fmt.Errorf("server: report has %d bits, domain has %d", bits, b.s.bits)
 	}
-	if err := bitvec.AccumulateWordsInto(words, bits, b.counts); err != nil {
+	if err := b.lanes.AddWords(words, bits, b.counts); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
 	b.n++
@@ -1216,9 +1254,9 @@ func (b *Batcher) Flush() error {
 			return err
 		}
 	}
+	b.lanes.Drain(b.counts)
 	counts, n := b.counts, b.n
-	b.counts = make([]int64, b.s.bits)
-	b.n = 0
+	b.counts, b.n = b.s.frame(), 0
 	if b.mode == batchShed {
 		return b.s.sendCounts(counts, n)
 	}
