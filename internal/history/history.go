@@ -34,6 +34,27 @@
 // oldest base fail with ErrTruncated (the HTTP layer answers 410);
 // in-flight replays pin the store (Acquire) so GC never deletes a
 // segment still covered by an open query.
+//
+// Reads: what is under the lock and what is not. Store.mu is the mutex
+// Append holds across its write and fsync, so a read keeps it only long
+// enough to capture a view and reconstructs outside it. A segment keeps
+// its interval records (deltas, strictly ascending in seq, which is what
+// the binary searches rely on) apart from its telemetry records (tel,
+// any seq the caller names). Interval records are immutable once
+// appended, so a slice header copied under the lock never sees a later
+// append; base and the final of a sealed segment never change, and the
+// newest segment's final is copied, not shared. Under the lock a read
+// does: binary search for the segment and the cut, copy of one anchor
+// (8·m bytes), copy of slice headers. Outside it: every per-record fold.
+//
+// The anchor rule: the state at a generation is base plus the records up
+// to it, and equally final minus the records after it (integer sums, so
+// both are exact). A reconstruction copies whichever of the two has
+// fewer records between it and the target and folds that side — at most
+// half a segment. ResolveAt answers which generation and report total a
+// read lands on without reconstructing anything; callers that cache
+// immutable answers (internal/httpapi) resolve first and reconstruct
+// only on a miss.
 package history
 
 import (
@@ -43,6 +64,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -137,7 +160,8 @@ type segment struct {
 	baseSeq uint64
 	baseN   int64
 	base    []int64
-	recs    []record
+	deltas  []record // interval records, seq strictly ascending
+	tel     []record // telemetry records, append order
 	bytes   int64
 
 	// lastSeq/lastN/final are the cumulative state after the newest
@@ -167,6 +191,11 @@ type Store struct {
 
 	pins         int
 	prunePending bool
+
+	// Retained totals behind Stats, adjusted on append, rotate and prune.
+	records    int64
+	telRecords int64
+	bytes      int64
 
 	appends    int64
 	telAppends int64
@@ -227,6 +256,9 @@ func Open(dir string, bits int, cfg Config) (*Store, error) {
 			}
 		}
 		s.segs = append(s.segs, sg)
+	}
+	for _, sg := range s.segs {
+		s.retainLocked(sg, 1)
 	}
 	if n := len(s.segs); n > 0 {
 		last := s.segs[n-1]
@@ -366,7 +398,12 @@ func (s *Store) AppendTelemetry(seq uint64, at time.Time, packed []byte) error {
 // appendRecordLocked rotates to a fresh segment when needed, writes the
 // framed record, and mirrors it in memory. Caller holds s.mu.
 func (s *Store) appendRecordLocked(rec record, payload []byte) error {
-	if s.cur == nil || len(s.segs) == 0 || len(s.segs[len(s.segs)-1].recs) >= s.cfg.SegmentRecords {
+	rotate := s.cur == nil || len(s.segs) == 0
+	if !rotate {
+		sg := s.segs[len(s.segs)-1]
+		rotate = len(sg.deltas)+len(sg.tel) >= s.cfg.SegmentRecords
+	}
+	if rotate {
 		if err := s.rotateLocked(); err != nil {
 			return err
 		}
@@ -381,9 +418,24 @@ func (s *Store) appendRecordLocked(rec record, payload []byte) error {
 		}
 	}
 	sg := s.segs[len(s.segs)-1]
-	sg.recs = append(sg.recs, rec)
+	if rec.kind == kindDelta {
+		sg.deltas = append(sg.deltas, rec)
+		s.records++
+	} else {
+		sg.tel = append(sg.tel, rec)
+		s.telRecords++
+	}
 	sg.bytes += int64(len(frame))
+	s.bytes += int64(len(frame))
 	return nil
+}
+
+// retainLocked adds (sign 1) or removes (sign -1) one segment's share
+// of the retained totals. Caller holds s.mu.
+func (s *Store) retainLocked(sg *segment, sign int64) {
+	s.records += sign * int64(len(sg.deltas))
+	s.telRecords += sign * int64(len(sg.tel))
+	s.bytes += sign * sg.bytes
 }
 
 // rotateLocked seals the open segment and starts the next one with a
@@ -424,6 +476,7 @@ func (s *Store) rotateLocked() error {
 		lastN:   s.shadowN,
 		final:   append([]int64(nil), s.shadow...),
 	})
+	s.bytes += int64(len(base))
 	s.pruneLocked()
 	return nil
 }
@@ -439,6 +492,7 @@ func (s *Store) pruneLocked() {
 	drop := func() {
 		sg := s.segs[0]
 		os.Remove(sg.path)
+		s.retainLocked(sg, -1)
 		s.segs = s.segs[1:]
 	}
 	for len(s.segs) > s.cfg.KeepSegments {
@@ -449,9 +503,11 @@ func (s *Store) pruneLocked() {
 		for len(s.segs) > 1 {
 			sg := s.segs[0]
 			newest := int64(0)
-			for i := len(sg.recs) - 1; i >= 0; i-- {
-				newest = sg.recs[i].time
-				break
+			if n := len(sg.deltas); n > 0 {
+				newest = sg.deltas[n-1].time
+			}
+			if n := len(sg.tel); n > 0 {
+				newest = max(newest, sg.tel[n-1].time)
 			}
 			if newest >= horizon {
 				break
@@ -498,83 +554,209 @@ func (s *Store) oldestLocked() uint64 {
 	return s.segs[0].baseSeq
 }
 
+// locateLocked finds where generation at lands: the newest segment
+// whose base is at or before it, and cut, the number of that segment's
+// interval records with seq <= at. Caller holds s.mu, has checked that
+// the store is not empty and that at is inside retention.
+func (s *Store) locateLocked(at uint64) (sg *segment, cut int) {
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].baseSeq > at })
+	sg = s.segs[i-1]
+	cut = sort.Search(len(sg.deltas), func(j int) bool { return sg.deltas[j].seq > at })
+	return sg, cut
+}
+
+// answered is the generation and report total a read cut at this index
+// of the segment's interval records lands on.
+func (sg *segment) answered(cut int) (seq uint64, n int64) {
+	if cut == 0 {
+		return sg.baseSeq, sg.baseN
+	}
+	r := sg.deltas[cut-1]
+	return r.seq, r.n
+}
+
+// ResolveAt reports which generation a read at generation at lands on —
+// the newest recorded generation <= at — and the report total there,
+// without reconstructing any counts. Clamping and the ErrTruncated rule
+// are CumulativeAt's.
+func (s *Store) ResolveAt(at uint64) (seq uint64, n int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.segs) == 0 {
+		return 0, 0, nil
+	}
+	if oldest := s.oldestLocked(); at < oldest {
+		return 0, 0, &TruncatedError{Oldest: oldest}
+	}
+	sg, cut := s.locateLocked(at)
+	seq, n = sg.answered(cut)
+	return seq, n, nil
+}
+
+// view is everything one reconstruction needs, captured under s.mu: a
+// private copy of the nearer anchor and the immutable records between
+// that anchor and the target.
+type view struct {
+	counts   []int64  // copy of base (forward) or final (backward)
+	recs     []record // the records to fold into counts
+	backward bool     // recs are subtracted, not added
+	seq      uint64
+	n        int64
+}
+
+// viewLocked captures the view of generation at. Preconditions are
+// locateLocked's.
+func (s *Store) viewLocked(at uint64) view {
+	sg, cut := s.locateLocked(at)
+	v := view{}
+	v.seq, v.n = sg.answered(cut)
+	if after := len(sg.deltas) - cut; after < cut {
+		v.counts, v.recs, v.backward = slices.Clone(sg.final), sg.deltas[cut:], true
+	} else {
+		v.counts, v.recs = slices.Clone(sg.base), sg.deltas[:cut]
+	}
+	return v
+}
+
+// reconstruct folds the captured records into the anchor copy and
+// returns it: the cumulative counts at v.seq. Runs outside s.mu.
+func (v view) reconstruct() []int64 {
+	sign := int64(1)
+	if v.backward {
+		sign = -1
+	}
+	for _, r := range v.recs {
+		r.foldInto(v.counts, sign)
+	}
+	return v.counts
+}
+
+// foldInto adds (sign 1) or subtracts (sign -1) one interval record's
+// increments.
+func (r *record) foldInto(counts []int64, sign int64) {
+	for j, i := range r.bits {
+		counts[i] += sign * r.inc[j]
+	}
+}
+
 // CumulativeAt reconstructs the cumulative counts and report total as
 // of generation at (clamping down to the newest recorded generation
 // <= at), returning the generation actually answered. Generations
 // older than the oldest retained base fail with ErrTruncated.
 func (s *Store) CumulativeAt(at uint64) (counts []int64, n int64, seq uint64, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.queries++
 	if len(s.segs) == 0 {
+		s.mu.Unlock()
 		return make([]int64, s.bits), 0, 0, nil
 	}
-	oldest := s.oldestLocked()
-	if at < oldest {
+	if oldest := s.oldestLocked(); at < oldest {
+		s.mu.Unlock()
 		return nil, 0, 0, &TruncatedError{Oldest: oldest}
 	}
-	// Newest segment whose base is at or before the target.
-	sg := s.segs[0]
-	for _, cand := range s.segs[1:] {
-		if cand.baseSeq > at {
-			break
-		}
-		sg = cand
-	}
-	counts = append([]int64(nil), sg.base...)
-	n, seq = sg.baseN, sg.baseSeq
-	for _, r := range sg.recs {
-		if r.kind != kindDelta || r.seq > at {
-			continue
-		}
-		for j, i := range r.bits {
-			counts[i] += r.inc[j]
-		}
-		n, seq = r.n, r.seq
-	}
-	return counts, n, seq, nil
+	v := s.viewLocked(at)
+	s.mu.Unlock()
+	return v.reconstruct(), v.n, v.seq, nil
 }
 
-// Range sums the interval records with from < seq <= to — the counts
-// and report total of exactly that span, the historical analogue of a
-// live sliding window. A from below the retention horizon clamps up to
-// it (clamped reports that); a range entirely past retention fails
-// with ErrTruncated. first and last are the actual generations summed
-// (0 when the span holds no records).
-func (s *Store) Range(from, to uint64) (counts []int64, dn int64, first, last uint64, clamped bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	counts = make([]int64, s.bits)
+// spanLocked captures the interval records with from < seq <= to as one
+// sub-slice per segment, in order. Caller holds s.mu.
+func (s *Store) spanLocked(from, to uint64) [][]record {
+	var parts [][]record
+	first := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].lastSeq > from })
+	for _, sg := range s.segs[first:] {
+		if sg.baseSeq >= to {
+			break
+		}
+		lo := sort.Search(len(sg.deltas), func(j int) bool { return sg.deltas[j].seq > from })
+		hi := sort.Search(len(sg.deltas), func(j int) bool { return sg.deltas[j].seq > to })
+		if lo < hi {
+			parts = append(parts, sg.deltas[lo:hi])
+		}
+	}
+	return parts
+}
+
+// Span is the answer to one range query.
+type Span struct {
+	// Counts and DN are the per-bit sums and report total of the interval
+	// records with From < seq <= To.
+	Counts []int64
+	DN     int64
+	// From and To bound the span actually summed: From is the requested
+	// from, moved up to the retention horizon when Clamped.
+	From, To uint64
+	Clamped  bool
+	// First and Last are the oldest and newest generations summed (0 when
+	// the span holds no records).
+	First, Last uint64
+	// Settled reports that To is at or before the newest absorbed
+	// generation: no later append can add a record to the span.
+	Settled bool
+}
+
+// resolveRangeLocked applies Range's retention rules to (from, to]:
+// ErrTruncated when the whole range is past retention, from clamped up
+// to the horizon otherwise. Counts stay nil. Caller holds s.mu.
+func (s *Store) resolveRangeLocked(from, to uint64) (Span, error) {
+	sp := Span{From: from, To: to, Settled: to <= s.lastSeq}
 	if len(s.segs) == 0 {
-		return counts, 0, 0, 0, false, nil
+		return sp, nil
 	}
 	oldest := s.oldestLocked()
 	if to <= oldest && oldest > 0 {
-		return nil, 0, 0, 0, false, &TruncatedError{Oldest: oldest}
+		return Span{}, &TruncatedError{Oldest: oldest}
 	}
 	if from < oldest {
-		from, clamped = oldest, true
+		sp.From, sp.Clamped = oldest, true
 	}
-	for _, sg := range s.segs {
-		if sg.lastSeq <= from {
-			continue
-		}
-		for _, r := range sg.recs {
-			if r.kind != kindDelta || r.seq <= from || r.seq > to {
-				continue
-			}
-			for j, i := range r.bits {
-				counts[i] += r.inc[j]
-			}
-			dn += r.dn
-			if first == 0 {
-				first = r.seq
-			}
-			last = r.seq
+	return sp, nil
+}
+
+// ResolveRange reports how Sum would bound (from, to] right now — the
+// from it would use, whether that is clamped, whether the span is
+// settled — without summing anything.
+func (s *Store) ResolveRange(from, to uint64) (Span, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resolveRangeLocked(from, to)
+}
+
+// Sum adds up the interval records with from < seq <= to — the counts
+// and report total of exactly that span, the historical analogue of a
+// live sliding window. A from below the retention horizon clamps up to
+// it; a range entirely past retention fails with ErrTruncated. The
+// returned Span names the bounds this very call used, so a caller
+// labelling the answer never pairs it with a horizon read later.
+func (s *Store) Sum(from, to uint64) (Span, error) {
+	s.mu.Lock()
+	s.queries++
+	sp, err := s.resolveRangeLocked(from, to)
+	if err != nil {
+		s.mu.Unlock()
+		return Span{}, err
+	}
+	parts := s.spanLocked(sp.From, to)
+	s.mu.Unlock()
+	sp.Counts = make([]int64, s.bits)
+	for _, recs := range parts {
+		for _, r := range recs {
+			r.foldInto(sp.Counts, 1)
+			sp.DN += r.dn
 		}
 	}
-	return counts, dn, first, last, clamped, nil
+	if len(parts) > 0 {
+		last := parts[len(parts)-1]
+		sp.First, sp.Last = parts[0][0].seq, last[len(last)-1].seq
+	}
+	return sp, nil
+}
+
+// Range is Sum with the answer spread over return values; the from
+// actually used is only on Sum's Span.
+func (s *Store) Range(from, to uint64) (counts []int64, dn int64, first, last uint64, clamped bool, err error) {
+	sp, err := s.Sum(from, to)
+	return sp.Counts, sp.DN, sp.First, sp.Last, sp.Clamped, err
 }
 
 // TelemetryRecord is one journaled snapshot read back from the log.
@@ -602,8 +784,8 @@ func (s *Store) Telemetry(from, to uint64) ([]TelemetryRecord, error) {
 	}
 	var out []TelemetryRecord
 	for _, sg := range s.segs {
-		for _, r := range sg.recs {
-			if r.kind != kindTelemetry || r.seq < from || r.seq > to {
+		for _, r := range sg.tel {
+			if r.seq < from || r.seq > to {
 				continue
 			}
 			out = append(out, TelemetryRecord{Seq: r.seq, Time: time.Unix(0, r.time), Payload: r.payload})
@@ -620,9 +802,8 @@ func (s *Store) SeqAtTime(t time.Time) (seq uint64, ok bool) {
 	defer s.mu.Unlock()
 	for i := len(s.segs) - 1; i >= 0; i-- {
 		sg := s.segs[i]
-		for j := len(sg.recs) - 1; j >= 0; j-- {
-			r := sg.recs[j]
-			if r.kind == kindDelta && r.time <= nano {
+		for j := len(sg.deltas) - 1; j >= 0; j-- {
+			if r := sg.deltas[j]; r.time <= nano {
 				return r.seq, true
 			}
 		}
@@ -650,22 +831,20 @@ func (s *Store) Replay(fn func(stream.Delta) error) error {
 		Counts: append([]int64(nil), base.base...),
 		N:      base.baseN,
 	}
-	var recs []record
-	for _, sg := range s.segs {
-		for _, r := range sg.recs {
-			if r.kind == kindDelta {
-				recs = append(recs, r)
-			}
-		}
+	parts := make([][]record, len(s.segs))
+	for i, sg := range s.segs {
+		parts[i] = sg.deltas
 	}
 	s.mu.Unlock()
 	if err := fn(resync); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		d := stream.Delta{Seq: r.seq, Time: time.Unix(0, r.time), Bits: r.bits, Inc: r.inc, DN: r.dn, N: r.n}
-		if err := fn(d); err != nil {
-			return err
+	for _, recs := range parts {
+		for _, r := range recs {
+			d := stream.Delta{Seq: r.seq, Time: time.Unix(0, r.time), Bits: r.bits, Inc: r.inc, DN: r.dn, N: r.n}
+			if err := fn(d); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -689,55 +868,20 @@ func (s *Store) ReplayRange(from, to uint64, fn func(seq uint64, at time.Time, c
 		s.mu.Unlock()
 		return &TruncatedError{Oldest: oldest}
 	}
-	counts, n, _, err := s.cumulativeAtLocked(from)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	var recs []record
-	for _, sg := range s.segs {
-		for _, r := range sg.recs {
-			if r.kind == kindDelta && r.seq > from && r.seq <= to {
-				recs = append(recs, r)
+	v := s.viewLocked(from)
+	parts := s.spanLocked(from, to)
+	s.queries++
+	s.mu.Unlock()
+	counts := v.reconstruct()
+	for _, recs := range parts {
+		for _, r := range recs {
+			r.foldInto(counts, 1)
+			if err := fn(r.seq, time.Unix(0, r.time), counts, r.n); err != nil {
+				return err
 			}
 		}
 	}
-	s.queries++
-	s.mu.Unlock()
-	for _, r := range recs {
-		for j, i := range r.bits {
-			counts[i] += r.inc[j]
-		}
-		n = r.n
-		if err := fn(r.seq, time.Unix(0, r.time), counts, n); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// cumulativeAtLocked is CumulativeAt without locking or query
-// accounting; caller holds s.mu and has checked retention.
-func (s *Store) cumulativeAtLocked(at uint64) (counts []int64, n int64, seq uint64, err error) {
-	sg := s.segs[0]
-	for _, cand := range s.segs[1:] {
-		if cand.baseSeq > at {
-			break
-		}
-		sg = cand
-	}
-	counts = append([]int64(nil), sg.base...)
-	n, seq = sg.baseN, sg.baseSeq
-	for _, r := range sg.recs {
-		if r.kind != kindDelta || r.seq > at {
-			continue
-		}
-		for j, i := range r.bits {
-			counts[i] += r.inc[j]
-		}
-		n, seq = r.n, r.seq
-	}
-	return counts, n, seq, nil
 }
 
 // Stats is a point-in-time view of the store.
@@ -766,8 +910,11 @@ type Stats struct {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := Stats{
+	return Stats{
 		Segments:         len(s.segs),
+		Bytes:            s.bytes,
+		Records:          s.records,
+		TelemetryRecords: s.telRecords,
 		OldestSeq:        s.oldestLocked(),
 		NewestSeq:        s.lastSeq,
 		Appends:          s.appends,
@@ -775,17 +922,6 @@ func (s *Store) Stats() Stats {
 		Queries:          s.queries,
 		Dropped:          s.dropped,
 	}
-	for _, sg := range s.segs {
-		st.Bytes += sg.bytes
-		for _, r := range sg.recs {
-			if r.kind == kindDelta {
-				st.Records++
-			} else if r.kind == kindTelemetry {
-				st.TelemetryRecords++
-			}
-		}
-	}
-	return st
 }
 
 // Close seals the open segment. Further appends fail; queries keep
@@ -867,6 +1003,11 @@ func loadSegment(path string, index uint64, bits int) (sg *segment, torn bool) {
 	if err != nil {
 		return nil, true
 	}
+	return parseSegment(data, path, index, bits)
+}
+
+// parseSegment is loadSegment over the file's bytes.
+func parseSegment(data []byte, path string, index uint64, bits int) (sg *segment, torn bool) {
 	off := 0
 	for off < len(data) {
 		r, consumed, err := decodeRecord(data[off:])
@@ -919,12 +1060,13 @@ func loadSegment(path string, index uint64, bits int) (sg *segment, torn bool) {
 				sg.final[i] += inc[j]
 			}
 			sg.lastSeq, sg.lastN = r.seq, r.n
+			sg.deltas = append(sg.deltas, r)
 		case kindTelemetry:
 			// Opaque payload; kept as read.
+			sg.tel = append(sg.tel, r)
 		default:
 			return sg, true
 		}
-		sg.recs = append(sg.recs, r)
 		sg.bytes += int64(consumed)
 		off += consumed
 	}

@@ -5,7 +5,7 @@
 // The exactness contract mirrors the live path deliberately: a
 // historical answer is reconstructed from the same integer sums the
 // live window folded, calibrated through the same Estimator, and
-// marshaled with the same expression — so /v1/estimates?at=g is
+// marshaled by the same estimatesBody — so /v1/estimates?at=g is
 // byte-identical to what /v1/estimates answered while generation g was
 // current, and a range [from,to] is byte-identical to the windowed
 // payload of span to-from published at generation to. Query metadata
@@ -86,34 +86,14 @@ func writeHistoryErr(w http.ResponseWriter, err error) {
 	httpError(w, http.StatusInternalServerError, err.Error())
 }
 
-// serveHistoryAt answers GET /v1/estimates?at=<seq|time>: the
-// cumulative estimates exactly as the live endpoint answered them while
-// that generation was current. The generation actually answered (at
-// clamps down to the newest recorded one) rides X-Idldp-Generation.
-func (ls *liveState) serveHistoryAt(w http.ResponseWriter, raw string) {
-	at, err := ls.resolveSeq(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "at: "+err.Error())
-		return
-	}
-	counts, n, seq, err := ls.hist.CumulativeAt(at)
-	if err != nil {
-		writeHistoryErr(w, err)
-		return
-	}
-	w.Header().Set("X-Idldp-Generation", strconv.FormatUint(seq, 10))
+// finishPast is the shared tail of a time-travel read that missed the
+// cache: calibrate the reconstructed sums, marshal the one estimates
+// body, keep it under key when the answer can never change, send it.
+// window is the body's "window" field (noWindow for ?at). An answer
+// over zero reports is never kept.
+func (ls *liveState) finishPast(w http.ResponseWriter, key readcache.Past, immutable bool, counts []int64, n int64, window int) {
 	if n == 0 {
-		writeJSON(w, map[string]any{"estimates": []float64{}, "reports": 0})
-		return
-	}
-	// Historical answers are immutable, so the cache entry is a hit for
-	// as long as it stays the History answer cached (Get with gen ==
-	// the answered generation) — repeated forensic reads of one
-	// generation cost one calibration total.
-	key := readcache.Key{Kind: readcache.History}
-	if v, ok := ls.cache.Get(seq, key); ok {
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(v.Payload)
+		writeBody(w, emptyBody(window))
 		return
 	}
 	est, err := ls.calibrate(counts, n)
@@ -121,15 +101,52 @@ func (ls *liveState) serveHistoryAt(w http.ResponseWriter, raw string) {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	body, err := json.Marshal(map[string]any{"estimates": est, "reports": n})
+	body, err := estimatesBody(est, n, window)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	body = append(body, '\n')
-	ls.cache.Put(key, readcache.Value{Gen: seq, N: n, Estimates: est, Payload: body})
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
+	if immutable {
+		ls.cache.PutPast(key, body)
+	}
+	writeBody(w, body)
+}
+
+// serveHistoryAt answers GET /v1/estimates?at=<seq|time>: the
+// cumulative estimates exactly as the live endpoint answered them while
+// that generation was current. The read is resolved against the store
+// first — retention decides 410 before the cache is consulted — and the
+// generation actually answered (at clamps down to the newest recorded
+// one) rides X-Idldp-Generation and keys the cached body, so ?at=<seq>,
+// ?at=<future> and ?at=<time> landing on one generation share an entry.
+func (ls *liveState) serveHistoryAt(w http.ResponseWriter, raw string) {
+	at, err := ls.resolveSeq(raw)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "at: "+err.Error())
+		return
+	}
+	seq, n, err := ls.hist.ResolveAt(at)
+	if err != nil {
+		writeHistoryErr(w, err)
+		return
+	}
+	key := readcache.Past{To: seq}
+	if n > 0 {
+		if body, ok := ls.cache.GetPast(key); ok {
+			w.Header().Set("X-Idldp-Generation", strconv.FormatUint(seq, 10))
+			writeBody(w, body)
+			return
+		}
+	}
+	// A resolved generation resolves to itself, so seq is unchanged here
+	// unless a prune got in between, which is the 410.
+	counts, n, seq, err := ls.hist.CumulativeAt(seq)
+	if err != nil {
+		writeHistoryErr(w, err)
+		return
+	}
+	w.Header().Set("X-Idldp-Generation", strconv.FormatUint(seq, 10))
+	ls.finishPast(w, key, true, counts, n, noWindow)
 }
 
 // serveHistoryRange answers GET /v1/estimates?from=..&to=..: the
@@ -138,6 +155,10 @@ func (ls *liveState) serveHistoryAt(w http.ResponseWriter, raw string) {
 // matches). A from past retention clamps up to the horizon —
 // X-Idldp-From/To report the span actually summed and X-Idldp-Clamped
 // whether it was narrowed; a range entirely past retention is 410.
+// Only a settled, unclamped, non-empty span is kept in the cache: one
+// reaching past the newest generation still grows, and a clamped one
+// depends on what has been pruned (so it is not even looked up — the
+// body under its key would be the answer from before the prune).
 func (ls *liveState) serveHistoryRange(w http.ResponseWriter, fromRaw, toRaw string) {
 	var from, to uint64
 	var err error
@@ -159,34 +180,33 @@ func (ls *liveState) serveHistoryRange(w http.ResponseWriter, fromRaw, toRaw str
 		httpError(w, http.StatusBadRequest, "from must not exceed to")
 		return
 	}
-	counts, dn, _, _, clamped, err := ls.hist.Range(from, to)
+	bounds := func(sp history.Span) {
+		w.Header().Set("X-Idldp-From", strconv.FormatUint(sp.From, 10))
+		w.Header().Set("X-Idldp-To", strconv.FormatUint(sp.To, 10))
+		w.Header().Set("X-Idldp-Clamped", strconv.FormatBool(sp.Clamped))
+	}
+	resolved, err := ls.hist.ResolveRange(from, to)
 	if err != nil {
 		writeHistoryErr(w, err)
 		return
 	}
-	if clamped {
-		from = ls.hist.OldestSeq()
+	key := readcache.Past{Span: true, From: from, To: to}
+	if !resolved.Clamped {
+		if body, ok := ls.cache.GetPast(key); ok {
+			bounds(resolved)
+			writeBody(w, body)
+			return
+		}
 	}
-	span := int(to - from)
-	w.Header().Set("X-Idldp-From", strconv.FormatUint(from, 10))
-	w.Header().Set("X-Idldp-To", strconv.FormatUint(to, 10))
-	w.Header().Set("X-Idldp-Clamped", strconv.FormatBool(clamped))
-	if dn == 0 {
-		writeJSON(w, map[string]any{"estimates": []float64{}, "reports": 0, "window": span})
-		return
-	}
-	est, err := ls.calibrate(counts, dn)
+	// The header and the window field come from the span this very sum
+	// used, not from a horizon read before or after it.
+	sp, err := ls.hist.Sum(from, to)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
+		writeHistoryErr(w, err)
 		return
 	}
-	body, err := json.Marshal(map[string]any{"estimates": est, "reports": dn, "window": span})
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(append(body, '\n'))
+	bounds(sp)
+	ls.finishPast(w, key, sp.Settled && !sp.Clamped, sp.Counts, sp.DN, int(sp.To-sp.From))
 }
 
 // sseBackfill replays the generations a reconnecting SSE client missed

@@ -7,7 +7,9 @@
 //	GET  /v1/estimates         calibrated estimates; ?window=k restricts to the
 //	                           last k stream intervals (streaming handlers only);
 //	                           ?at=<seq|time> and ?from=..&to=.. answer from the
-//	                           history log, 410 past retention (history-enabled
+//	                           history log, 410 past retention; a generation or
+//	                           settled span read before is served from a bounded
+//	                           cache of immutable bodies (history-enabled
 //	                           handlers only)
 //	GET  /v1/estimates/stream  Server-Sent Events: one "estimate" event per
 //	                           published interval (streaming handlers only);
@@ -16,7 +18,7 @@
 //	                           range, counters healed monotone across restarts
 //	                           (history-enabled handlers only)
 //	GET  /v1/readstats         read-path cache/hub counters: generation,
-//	                           calibrations, hits/misses, SSE subscribers
+//	                           calibrations, hits/misses/bytes, SSE subscribers
 //	                           (streaming handlers only)
 //	GET  /v1/status            {"reports": k, "bits": m}
 //	GET  /v1/snapshot          {"counts": [..], "n": k, "bits": m}; ?format=packed
@@ -357,15 +359,18 @@ func (h *Handler) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	}
 	counts, n := h.snapshot()
 	if n == 0 {
-		writeJSON(w, map[string]any{"estimates": []float64{}, "reports": 0})
+		writeBody(w, emptyBody(noWindow))
 		return
 	}
 	est, err := h.estimate(counts, int(n))
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
+	if err == nil {
+		var body []byte
+		if body, err = estimatesBody(est, n, noWindow); err == nil {
+			writeBody(w, body)
+			return
+		}
 	}
-	writeJSON(w, map[string]any{"estimates": est, "reports": n})
+	httpError(w, http.StatusInternalServerError, err.Error())
 }
 
 func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -487,6 +492,45 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// noWindow is the window argument of an estimates body that has no
+// "window" field (the cumulative answers).
+const noWindow = -1
+
+// estimatesBody renders the one body every /v1/estimates answer uses —
+// {"estimates":[..],"reports":n} plus "window":k for windowed and range
+// answers — newline-terminated. Live, cached and time-travel answers
+// are byte-identical because they all come through here.
+func estimatesBody(est []float64, n int64, window int) ([]byte, error) {
+	v := struct {
+		Estimates []float64 `json:"estimates"`
+		Reports   int64     `json:"reports"`
+		Window    *int      `json:"window,omitempty"`
+	}{Estimates: est, Reports: n}
+	if window != noWindow {
+		v.Window = &window
+	}
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
+}
+
+// emptyBody is the answer over zero reports: 200 with no estimates.
+func emptyBody(window int) []byte {
+	body, _ := estimatesBody([]float64{}, 0, window) // no float to refuse
+	return body
+}
+
+// writeBody sends a complete pre-marshaled JSON body. The length is
+// known, so it is declared: net/http would otherwise chunk-encode
+// anything past its 2 KB sniff buffer.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // writeShed answers a pushed-back ingest request: 429 Too Many

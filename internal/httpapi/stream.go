@@ -116,6 +116,8 @@ func (ls *liveState) registerMetrics(reg *telemetry.Registry) {
 		func() int64 { return ls.cache.Stats().Misses })
 	reg.GaugeFunc("readcache_entries", "Live read-cache entries.",
 		func() float64 { return float64(ls.cache.Stats().Entries) })
+	reg.GaugeFunc("readcache_bytes", "Payload bytes held for immutable time-travel answers (bounded).",
+		func() float64 { return float64(ls.cache.Stats().Bytes) })
 	reg.GaugeFunc("sse_subscribers", "Attached SSE stream clients.",
 		func() float64 { return float64(ls.hub.Stats().Subscribers) })
 	reg.CounterFunc("sse_events", "Event payloads broadcast to SSE clients.",
@@ -292,12 +294,11 @@ func (ls *liveState) refreshLocked(seq uint64, counts []int64, n int64, wCounts 
 		return sseChunk("error", seq, jsonError(err)), true
 	}
 	ls.estErr = nil
-	body, err := json.Marshal(map[string]any{"estimates": est, "reports": n})
+	body, err := estimatesBody(est, n, noWindow)
 	if err != nil {
 		ls.estErr = err
 		return sseChunk("error", seq, jsonError(err)), true
 	}
-	body = append(body, '\n')
 	ls.cache.Put(readcache.Key{Kind: readcache.Cumulative},
 		readcache.Value{Gen: seq, N: n, Estimates: est, Payload: body})
 	ev := estimateEvent{Seq: seq, N: n, WindowN: wN, Estimates: est, Top1: argmax(est)}
@@ -313,9 +314,9 @@ func (ls *liveState) refreshLocked(seq uint64, counts []int64, n int64, wCounts 
 		ls.calibrations++
 		if werr == nil {
 			ev.WindowEstimates = wEst
-			if wBody, merr := json.Marshal(map[string]any{"estimates": wEst, "reports": wN, "window": ls.win.Cap()}); merr == nil {
+			if wBody, merr := estimatesBody(wEst, wN, ls.win.Cap()); merr == nil {
 				ls.cache.Put(readcache.Key{Kind: readcache.Windowed, K: ls.win.Cap()},
-					readcache.Value{Gen: seq, N: wN, Estimates: wEst, Payload: append(wBody, '\n')})
+					readcache.Value{Gen: seq, N: wN, Estimates: wEst, Payload: wBody})
 			}
 		}
 	}
@@ -365,8 +366,9 @@ func sseChunk(event string, id uint64, data []byte) []byte {
 
 // handleEstimates answers GET /v1/estimates from the cached read path:
 // the plain query serves the pre-marshaled cumulative body, ?window=k
-// the windowed variant, and ?at / ?from&to the time-travel variants
-// reconstructed from the history log (see history.go).
+// the windowed variant, and ?at / ?from&to the time-travel variants:
+// resolved against the history log, then served from the bounded cache
+// of immutable answers or reconstructed (see history.go).
 func (ls *liveState) handleEstimates(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	if q.Get("at") != "" || q.Get("from") != "" || q.Get("to") != "" {
@@ -406,7 +408,7 @@ func (ls *liveState) serveCumulative(w http.ResponseWriter) {
 	}
 	ls.mu.Unlock()
 	if n == 0 {
-		writeJSON(w, map[string]any{"estimates": []float64{}, "reports": 0})
+		writeBody(w, emptyBody(noWindow))
 		return
 	}
 	if !ok {
@@ -419,8 +421,7 @@ func (ls *liveState) serveCumulative(w http.ResponseWriter) {
 		httpError(w, http.StatusInternalServerError, msg)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(v.Payload)
+	writeBody(w, v.Payload)
 }
 
 // serveWindowed answers ?window=k from the sliding window (k intervals,
@@ -445,7 +446,7 @@ func (ls *liveState) serveWindowed(w http.ResponseWriter, k int) {
 		}
 		if n == 0 {
 			ls.mu.Unlock()
-			writeJSON(w, map[string]any{"estimates": []float64{}, "reports": 0, "window": k})
+			writeBody(w, emptyBody(k))
 			return
 		}
 		start := time.Now()
@@ -457,18 +458,17 @@ func (ls *liveState) serveWindowed(w http.ResponseWriter, k int) {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		body, err := json.Marshal(map[string]any{"estimates": est, "reports": n, "window": k})
+		body, err := estimatesBody(est, n, k)
 		if err != nil {
 			ls.mu.Unlock()
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		v = readcache.Value{Gen: gen, N: n, Estimates: est, Payload: append(body, '\n')}
+		v = readcache.Value{Gen: gen, N: n, Estimates: est, Payload: body}
 		ls.cache.Put(key, v)
 	}
 	ls.mu.Unlock()
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(v.Payload)
+	writeBody(w, v.Payload)
 }
 
 // serveSSE serves GET /v1/estimates/stream: a Server-Sent Events feed
@@ -551,7 +551,7 @@ func (ls *liveState) readStats() map[string]any {
 		"reports":      n,
 		"calibrations": cal,
 		"top1":         top1,
-		"cache":        map[string]any{"hits": cs.Hits, "misses": cs.Misses, "entries": cs.Entries},
+		"cache":        map[string]any{"hits": cs.Hits, "misses": cs.Misses, "entries": cs.Entries, "bytes": cs.Bytes},
 		"sse":          map[string]any{"subscribers": hs.Subscribers, "events": hs.Published},
 	}
 	if ls.hist != nil {

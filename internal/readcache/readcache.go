@@ -18,9 +18,23 @@
 // estimates per span k, heavy-hitter sets); Hub broadcasts the newest
 // pre-marshaled event payload to any number of waiting SSE writers.
 // Both are safe for concurrent use.
+//
+// Time-travel answers (internal/history) are the other half of the same
+// idea: a generation that has been recorded never changes again, so its
+// answer needs no stamp at all — only a bound. Cache keeps them in a
+// second store keyed by what makes the answer immutable (Past: the
+// generation answered, or both ends of a settled span), holding the
+// pre-marshaled body alone, evicted least-recently-used once the bodies
+// pass PastBudget bytes. Which answers are immutable is the caller's
+// rule, not the cache's: the HTTP layer never puts a span whose upper
+// end is past the newest generation, a span clamped by retention, or an
+// empty answer, and it asks the history store whether a generation is
+// still retained before it looks here, so a pruned generation is never
+// answered from memory. Lookups in both stores count into one Stats.
 package readcache
 
 import (
+	"container/list"
 	"sync"
 	"time"
 )
@@ -35,11 +49,6 @@ const (
 	Windowed
 	// HeavyHitters is the identified heavy-hitter set.
 	HeavyHitters
-	// History is a time-travel answer reconstructed from the interval
-	// log at generation K (see internal/history). Historical results
-	// are immutable, so callers Get them with gen == K: the entry stays
-	// a hit forever while it remains the one History answer cached.
-	History
 )
 
 // Key identifies one cached result. Within a generation each key has at
@@ -68,28 +77,91 @@ type Value struct {
 	Payload []byte
 }
 
-// Stats is a point-in-time view of cache activity.
-type Stats struct {
-	// Hits counts Gets answered from a current-generation entry, Misses
-	// the Gets that found nothing or only a stale generation.
-	Hits, Misses int64
-	// Entries is the live entry count (stale entries are replaced, not
-	// accumulated).
-	Entries int
+// Past identifies one immutable time-travel answer: the cumulative
+// state at generation To (Span false, From 0), or the estimates over
+// the span From < seq <= To (Span true).
+type Past struct {
+	Span     bool
+	From, To uint64
 }
 
-// Cache is a generation-stamped result cache. The zero value is not
-// usable; call New.
+// PastBudget bounds the bodies held for Past keys, in payload bytes
+// (about 80 answers at m = 1024).
+const PastBudget = 2 << 20
+
+// pastEntry is one element of the LRU list.
+type pastEntry struct {
+	key  Past
+	body []byte
+}
+
+// Stats is a point-in-time view of cache activity.
+type Stats struct {
+	// Hits counts lookups answered from the cache — a current-generation
+	// entry, or a held Past body — and Misses the lookups that found
+	// nothing or only a stale generation.
+	Hits, Misses int64
+	// Entries is the live entry count of both stores (stale generations
+	// are replaced, not accumulated; Past bodies are evicted by budget).
+	Entries int
+	// Bytes is the payload held for Past keys, never above PastBudget.
+	Bytes int64
+}
+
+// Cache is a generation-stamped result cache plus the bounded store of
+// immutable time-travel bodies. The zero value is not usable; call New.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]Value
 	hits    int64
 	misses  int64
+
+	// past maps a key to its element in lru (front = most recently used);
+	// pastBytes is the sum of the bodies' lengths.
+	past      map[Past]*list.Element
+	lru       *list.List
+	pastBytes int64
 }
 
 // New returns an empty cache.
 func New() *Cache {
-	return &Cache{entries: make(map[Key]Value)}
+	return &Cache{entries: make(map[Key]Value), past: make(map[Past]*list.Element), lru: list.New()}
+}
+
+// GetPast returns the body held for key, marking it most recently used.
+func (c *Cache) GetPast(key Past) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.past[key]
+	if !ok {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	c.lru.MoveToFront(el)
+	return el.Value.(*pastEntry).body, true
+}
+
+// PutPast holds body for key, evicting least-recently-used bodies until
+// the total fits PastBudget. The answer under a key never changes, so a
+// key already held keeps its body; a body larger than the whole budget
+// is not held. The cache shares body with future readers; the caller
+// must not mutate it afterwards.
+func (c *Cache) PutPast(key Past, body []byte) {
+	size := int64(len(body))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, held := c.past[key]; held || size > PastBudget {
+		return
+	}
+	for c.pastBytes+size > PastBudget {
+		oldest := c.lru.Back()
+		e := c.lru.Remove(oldest).(*pastEntry)
+		delete(c.past, e.key)
+		c.pastBytes -= int64(len(e.body))
+	}
+	c.past[key] = c.lru.PushFront(&pastEntry{key: key, body: body})
+	c.pastBytes += size
 }
 
 // Get returns the entry for key if one was computed at exactly
@@ -142,7 +214,7 @@ func (c *Cache) GetOrCompute(gen uint64, key Key, compute func() (Value, error))
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries)}
+	return Stats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries) + len(c.past), Bytes: c.pastBytes}
 }
 
 // Hub is a single-producer broadcast of the latest pre-marshaled event

@@ -113,6 +113,86 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
+// TestPastEvictsLeastRecentlyUsedWithinBudget fills the immutable-answer
+// store past its byte budget: the oldest untouched bodies go first, a
+// Get refreshes recency, and the held bytes never pass PastBudget.
+func TestPastEvictsLeastRecentlyUsedWithinBudget(t *testing.T) {
+	c := New()
+	const size = 100 << 10
+	fits := PastBudget / size // 20 bodies of 100 KiB fit 2 MiB
+	body := func(g uint64) []byte { return append(make([]byte, size-1), byte(g)) }
+	for g := uint64(1); g <= uint64(fits); g++ {
+		c.PutPast(Past{To: g}, body(g))
+	}
+	if st := c.Stats(); st.Entries != fits || st.Bytes != int64(fits*size) {
+		t.Fatalf("after filling: %+v, want %d entries", st, fits)
+	}
+	// Touch generation 1, then overflow by three: 2, 3, 4 are the least
+	// recently used and go; 1 stays.
+	if b, ok := c.GetPast(Past{To: 1}); !ok || b[size-1] != 1 {
+		t.Fatal("generation 1 not held before the overflow")
+	}
+	for g := uint64(fits) + 1; g <= uint64(fits)+3; g++ {
+		c.PutPast(Past{To: g}, body(g))
+		if st := c.Stats(); st.Bytes > PastBudget || st.Entries > fits {
+			t.Fatalf("over budget after generation %d: %+v", g, st)
+		}
+	}
+	for g, want := range map[uint64]bool{1: true, 2: false, 3: false, 4: false, 5: true, uint64(fits) + 3: true} {
+		if b, ok := c.GetPast(Past{To: g}); ok != want || (ok && b[size-1] != byte(g)) {
+			t.Errorf("generation %d held = %v, want %v", g, ok, want)
+		}
+	}
+	// A span and a generation with the same number are different answers.
+	if _, ok := c.GetPast(Past{Span: true, To: 5}); ok {
+		t.Error("span key answered from a generation's body")
+	}
+	// The answer under a key never changes, so the first body stays.
+	c.PutPast(Past{To: 5}, []byte("other"))
+	if b, _ := c.GetPast(Past{To: 5}); len(b) != size {
+		t.Errorf("second Put replaced the body (%d bytes)", len(b))
+	}
+	// A body that alone exceeds the budget is not held and evicts nothing.
+	before := c.Stats()
+	c.PutPast(Past{To: 999}, make([]byte, PastBudget+1))
+	if after := c.Stats(); after.Entries != before.Entries || after.Bytes != before.Bytes {
+		t.Errorf("oversized body changed the store: %+v -> %+v", before, after)
+	}
+	// Lookups count into the one Stats: 1 + 3 + 1 hits; 3 + 1 misses.
+	if st := c.Stats(); st.Hits != 5 || st.Misses != 4 {
+		t.Errorf("hits=%d misses=%d, want 5/4", st.Hits, st.Misses)
+	}
+}
+
+func TestPastConcurrent(t *testing.T) {
+	c := New()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				key := Past{Span: i%2 == 0, To: uint64((g*7 + i) % 120)}
+				if b, ok := c.GetPast(key); ok {
+					if len(b) != 32<<10 || b[0] != byte(key.To) {
+						t.Errorf("key %+v answered with %d bytes tagged %d", key, len(b), b[0])
+						return
+					}
+					continue
+				}
+				b := make([]byte, 32<<10)
+				b[0] = byte(key.To)
+				c.PutPast(key, b)
+				if st := c.Stats(); st.Bytes > PastBudget {
+					t.Errorf("held %d bytes", st.Bytes)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 func TestHubBroadcast(t *testing.T) {
 	h := NewHub()
 	if _, payload, _, closed, _ := h.Latest(); payload != nil || closed {

@@ -119,6 +119,10 @@ func UnpackDelta(data []byte) (bits []int, inc []int64, err error) {
 	}
 	k := int(k64)
 	rest = rest[n:]
+	// A (gap, increment) pair takes at least two bytes; see UnpackInto.
+	if k > len(rest)/2 {
+		return nil, nil, fmt.Errorf("varpack: %d elements declared in %d bytes", k, len(rest))
+	}
 	bits = make([]int, k)
 	inc = make([]int64, k)
 	prev := -1
@@ -190,6 +194,11 @@ func UnpackInto(data []byte, dst []int64) ([]int64, error) {
 	}
 	m := int(m64)
 	rest = rest[k:]
+	// Every element takes at least one byte, so a count the payload
+	// cannot hold is refused before it sizes an allocation.
+	if m > len(rest) {
+		return nil, fmt.Errorf("varpack: %d elements declared in %d bytes", m, len(rest))
+	}
 	if cap(dst) >= m {
 		dst = dst[:m]
 	} else {

@@ -1,6 +1,7 @@
 package varpack
 
 import (
+	"runtime"
 	"testing"
 
 	"idldp/internal/rng"
@@ -231,5 +232,24 @@ func TestRejectsMalformed(t *testing.T) {
 		if _, err := Unpack(payload); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestDeclaredCountCannotOutgrowPayload: an element count at the cap in
+// a five-byte payload is refused before it sizes an allocation (it used
+// to make 2 GB slices and then report the truncation).
+func TestDeclaredCountCannotOutgrowPayload(t *testing.T) {
+	atCap := []byte{0x80, 0x80, 0x80, 0x80, 0x01} // uvarint MaxCounts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Unpack(append([]byte{VersionVarint}, atCap...)); err == nil {
+		t.Error("dense payload with no elements decoded")
+	}
+	if _, _, err := UnpackDelta(append([]byte{VersionSparse}, atCap...)); err == nil {
+		t.Error("sparse payload with no elements decoded")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("refusing two six-byte payloads allocated %d bytes", got)
 	}
 }
