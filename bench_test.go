@@ -227,9 +227,11 @@ func reportsPerSec(b *testing.B) {
 }
 
 // BenchmarkPerturbItem measures one IDUE report over a 1024-item domain:
-// the geometric-skip fast path into a reused buffer (the production
-// shape, 0 allocs/op), the allocating fast path, and the per-bit O(m)
-// reference loop the fast path must beat by ≥3x.
+// the planned fast path (bit planes at these flip rates) into a reused
+// buffer (the production shape, 0 allocs/op), the allocating fast path,
+// and the per-bit O(m) reference loop. internal/mech's benchmark of the
+// same name times the two samplers of the plan against each other and
+// asserts the choice between them.
 func BenchmarkPerturbItem(b *testing.B) {
 	e := benchEngine(b, 1024, 0)
 	b.Run("fast", func(b *testing.B) {

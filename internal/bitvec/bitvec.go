@@ -189,6 +189,11 @@ func (v *Vector) AccumulateInto(counts []int64) {
 // word). The slice must not be modified; it is shared with the vector.
 func (v *Vector) Words() []uint64 { return v.words }
 
+// MutableWords is Words for writers: the perturbation samplers fill a
+// report 64 bits per store instead of one Set per bit. The caller must
+// leave every padding bit beyond Len() clear.
+func (v *Vector) MutableWords() []uint64 { return v.words }
+
 // checkWords is the validation every raw-words entry point shares: the
 // word count must match length n and no padding bit beyond n may be set.
 func checkWords(words []uint64, n int) error {

@@ -11,8 +11,10 @@
 // The *Into entry points run the steady-state loop allocation-free: each
 // worker reuses one report buffer (overwritten per user via the
 // mechanism's *Into perturbation) and one reseedable child rng.Source, so
-// per-user cost is the mechanism's O(t + m·b̄) sparse-flip draws plus a
-// word-level fold into the batcher's counts.
+// per-user cost is the mechanism's planned draws — O(m/64 · 7.3) for bits
+// in mech's bit planes, O(m·b̄) for runs it samples by geometric skip (see
+// the cost model in package mech) — plus a word-level fold into the
+// batcher's counts.
 package collect
 
 import (

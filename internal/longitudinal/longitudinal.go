@@ -63,7 +63,7 @@ func New(cfg Config) (*Collector, error) {
 	}
 	// The instantaneous layer is an m-bit symmetric UE applied to the
 	// memoized vector; building it as a mech.UE lets Report ride the
-	// sparse-flip fast path instead of one Bernoulli per bit.
+	// planned fast path instead of one Bernoulli per bit.
 	instUE, err := mech.NewRAPPOR(cfg.InstEps, engine.M())
 	if err != nil {
 		return nil, fmt.Errorf("longitudinal: %w", err)
@@ -107,7 +107,7 @@ func (c *Collector) Report(s *UserState, r *rng.Source) *bitvec.Vector {
 }
 
 // ReportInto writes one round's instantaneous report into out without
-// allocating, on the sparse-flip fast path. out must have M() bits and
+// allocating, on mech's planned fast path. out must have M() bits and
 // be distinct from the memoized state; each call overwrites it, so one
 // buffer serves a whole reporting loop.
 func (c *Collector) ReportInto(s *UserState, r *rng.Source, out *bitvec.Vector) {

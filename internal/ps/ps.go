@@ -132,7 +132,7 @@ func (s *SetMech) Perturb(x []int, r *rng.Source) *bitvec.Vector {
 
 // PerturbInto runs Algorithm 3 writing the report into out without
 // allocating: sampling stays index-level (no padded set is materialized)
-// and the perturbation over m+ℓ bits uses the sparse-flip fast path. out
+// and the perturbation over m+ℓ bits is mech.UE.PerturbItemInto's. out
 // must have Bits() bits; its prior contents are discarded.
 func (s *SetMech) PerturbInto(x []int, r *rng.Source, out *bitvec.Vector) {
 	sampled := Sample(x, s.M, s.Ell, r)

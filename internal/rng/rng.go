@@ -1,7 +1,7 @@
 // Package rng provides the deterministic randomness substrate used by every
-// randomized component in this repository: Bernoulli trials for bit
-// perturbation, geometric skip sampling for the sparse-flip perturbation
-// fast path, weighted categorical sampling for workload generation, and
+// randomized component in this repository: Bernoulli trials and raw
+// 64-bit words for bit perturbation, geometric skip sampling for its
+// sparse runs, weighted categorical sampling for workload generation, and
 // reservoir/partial-shuffle sampling for the Padding-and-Sampling protocol.
 //
 // All randomness flows through a Source so that experiments, tests and
@@ -90,8 +90,11 @@ func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Uint64 returns a uniform 64-bit value.
-func (s *Source) Uint64() uint64 { return s.r.Uint64() }
+// Uint64 returns a uniform 64-bit value. rand.Rand.Uint64 only forwards to
+// its Source, so calling the retained PCG is the same stream without the
+// interface dispatch — the bit-plane sampler in internal/mech draws ~120 of
+// these per report.
+func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
 // Bernoulli reports true with probability p. Values of p outside [0, 1]
 // are clamped, so Bernoulli(1.2) is always true and Bernoulli(-0.1) false.

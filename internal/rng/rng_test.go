@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,41 @@ func TestNewDeterministic(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
+	}
+}
+
+// TestUint64SharesTheRandStream pins that Uint64, which calls the PCG
+// directly, and the draws that go through rand.Rand consume one stream:
+// interleaved in any order they match a plain rand.New(pcg) twin, also
+// after a Reseed.
+func TestUint64SharesTheRandStream(t *testing.T) {
+	const seed = 20200420
+	s := New(seed)
+	twinPCG := rand.NewPCG(splitmix64(seed), splitmix64(splitmix64(seed)))
+	twin := rand.New(twinPCG)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 2000; i++ {
+			switch i % 5 {
+			case 0, 3:
+				if got, want := s.Uint64(), twin.Uint64(); got != want {
+					t.Fatalf("round %d draw %d: Uint64 %#x, twin %#x", round, i, got, want)
+				}
+			case 1:
+				if got, want := s.Float64(), twin.Float64(); got != want {
+					t.Fatalf("round %d draw %d: Float64 %v, twin %v", round, i, got, want)
+				}
+			case 2:
+				if got, want := s.IntN(i+7), twin.IntN(i+7); got != want {
+					t.Fatalf("round %d draw %d: IntN %d, twin %d", round, i, got, want)
+				}
+			case 4:
+				if got, want := s.GeometricSkipLn(-0.3), int(twin.ExpFloat64()/0.3); got != want {
+					t.Fatalf("round %d draw %d: GeometricSkipLn %d, twin %d", round, i, got, want)
+				}
+			}
+		}
+		s.Reseed(seed + 1)
+		twinPCG.Seed(splitmix64(seed+1), splitmix64(splitmix64(seed+1)))
 	}
 }
 
