@@ -1,23 +1,29 @@
 // Command idldp-merge is the fleet merger. It builds one exact global
-// aggregate two ways, mixable in one process:
+// aggregate in a registry of members (internal/registry) that join two
+// ways, mixable in one process:
 //
 //   - Polling (-nodes): fetch snapshot frames from idldp-server
-//     processes (framed TCP) and/or httpapi nodes (HTTP) on an interval —
-//     the PR 3 topology. With -fleet-token every snapshot request is
+//     processes (framed TCP) and/or httpapi nodes (HTTP) on an interval.
+//     The merger announces each fetched snapshot to its own registry on
+//     the node's behalf, so a polled node is a member of kind "poll",
+//     named by its spec. With -fleet-token every snapshot request is
 //     HMAC-signed for nodes that gate their snapshot endpoints.
-//   - Push registration (-listen / -listen-http): run the fleet control
-//     plane (internal/registry) and let nodes announce themselves —
-//     register, heartbeat, push varpack-packed snapshot deltas — instead
-//     of being listed statically. Members that miss -evict-missed
-//     heartbeats are evicted (their last counts keep contributing) and
-//     must re-register with a full resync. -merger-dir checkpoints every
-//     member's state so a restarted merger resumes exactly. The HTTP
-//     listener additionally serves the merged live read surface —
-//     GET /v1/estimates (cached, one calibration per poll no matter how
-//     many dashboards ask), the shared-payload SSE feed at
-//     /v1/estimates/stream, and /v1/readstats — plus the probes:
-//     GET /v1/healthz (process liveness, always 200) and GET /v1/readyz
-//     (503 until the first merge lands, and again once shutdown begins).
+//   - Push registration (-listen / -listen-http): let nodes announce
+//     themselves — register, heartbeat, push varpack-packed snapshot
+//     deltas — instead of being listed statically.
+//
+// Either way a member that goes silent for -heartbeat × -evict-missed
+// (a polled node: no successful fetch) is evicted: its last counts keep
+// contributing and it rejoins with a full resync. Polled and pushed
+// members alike appear in GET /v1/fleet, as idldp_fleet_member_up on
+// /metrics and in the final report, and -merger-dir checkpoints every
+// member's state so a restarted merger resumes exactly. The HTTP
+// listener additionally serves the merged live read surface —
+// GET /v1/estimates (cached, one calibration per poll no matter how
+// many dashboards ask), the shared-payload SSE feed at
+// /v1/estimates/stream, and /v1/readstats — plus the probes:
+// GET /v1/healthz (process liveness, always 200) and GET /v1/readyz
+// (503 until the first merge lands, and again once shutdown begins).
 //
 // With -history-dir (alongside -listen-http) the merged stream is
 // time-travel capable: every merged interval and a telemetry snapshot
@@ -46,7 +52,7 @@
 // Usage:
 //
 //	idldp-merge -nodes tcp://127.0.0.1:7070,tcp://127.0.0.1:7071 [-once]
-//	            [-interval 2s] [-duration 0] [-stale 15s] [-stream] [-window 0]
+//	            [-interval 2s] [-duration 0] [-stream] [-window 0]
 //	idldp-merge -listen 127.0.0.1:7090 [-listen-http 127.0.0.1:8090]
 //	            [-fleet-token TOKEN] [-heartbeat 5s] [-evict-missed 3]
 //	            [-merger-dir DIR] [-upstream tcp://HOST:PORT] [-name NAME]
@@ -54,8 +60,9 @@
 //	            [-log-level info] [-log-json] [-pprof 127.0.0.1:6061]
 //
 // The -listen-http listener additionally serves GET /metrics: fleet
-// membership gauges, push/poll counters, delta/poll byte accounting,
-// checkpoint and calibration latency histograms as Prometheus text —
+// membership gauges, push counters, failed polls, delta/poll byte
+// accounting, checkpoint and calibration latency histograms as
+// Prometheus text —
 // plus the fleet-federated telemetry plane. Every member heartbeat
 // carries a packed telemetry snapshot (MAC-covered); the merger folds
 // them exactly and exposes idldp_fleet_* series aggregated, per tier,
@@ -103,7 +110,6 @@ type config struct {
 	nodes     string
 	interval  time.Duration
 	duration  time.Duration
-	stale     time.Duration
 	once      bool
 	streamOut bool
 	window    int
@@ -134,14 +140,13 @@ func main() {
 	flag.DurationVar(&cfg.interval, "interval", 2*time.Second, "poll/publish interval")
 	flag.BoolVar(&cfg.once, "once", false, "poll every node once, print the merged state, and exit")
 	flag.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = until signal)")
-	flag.DurationVar(&cfg.stale, "stale", 15*time.Second, "report a polled node stale after this long without a successful poll")
 	flag.BoolVar(&cfg.streamOut, "stream", false, "print each merged update as it is published")
 	flag.IntVar(&cfg.window, "window", 0, "also report estimates over the last k polls (0 = all-time only)")
 	flag.StringVar(&cfg.listen, "listen", "", "framed TCP control-plane listen address for push-registered nodes (empty = polling only)")
 	flag.StringVar(&cfg.listenHTTP, "listen-http", "", "HTTP control-plane listen address (empty = none)")
 	flag.StringVar(&cfg.fleetToken, "fleet-token", "", "shared fleet token authenticating registrations, pushes and snapshot reads")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", registry.DefaultHeartbeatEvery, "heartbeat cadence advertised to registering nodes")
-	flag.IntVar(&cfg.evictMissed, "evict-missed", registry.DefaultMissedHeartbeats, "missed heartbeats before a member is evicted")
+	flag.IntVar(&cfg.evictMissed, "evict-missed", registry.DefaultMissedHeartbeats, "heartbeat intervals without a push, heartbeat or successful poll before a member is evicted")
 	flag.StringVar(&cfg.mergerDir, "merger-dir", "", "checkpoint directory for merger state (restart resumes exactly)")
 	flag.DurationVar(&cfg.mergerCkptInterval, "merger-checkpoint-interval", 10*time.Second, "time between merger-state checkpoints")
 	flag.StringVar(&cfg.upstream, "upstream", "", "higher-tier merger to announce this merger's stream to (tcp://host:port or http://host:port)")
@@ -200,52 +205,42 @@ func run(w io.Writer, cfg config) error {
 		defer stopPprof()
 	}
 
-	// Control plane: dynamic membership via push registration. The HTTP
-	// listener is bound here but served after the fleet exists, so the
-	// same port can mount the merged live-estimates surface.
+	// The registry holds every member, polled or push-registered. The
+	// HTTP listener is bound here but served after the fleet exists, so
+	// the same port can mount the merged live-estimates surface.
+	ropts := []registry.Option{registry.WithHeartbeat(cfg.heartbeat, cfg.evictMissed),
+		registry.WithTelemetry(tel), registry.WithAuth(auth)}
 	var reg *registry.Registry
-	var httpLis net.Listener
-	if cfg.listen != "" || cfg.listenHTTP != "" {
-		ropts := []registry.Option{registry.WithHeartbeat(cfg.heartbeat, cfg.evictMissed), registry.WithTelemetry(tel)}
-		if auth != nil {
-			ropts = append(ropts, registry.WithAuth(auth))
-		}
-		if cfg.mergerDir != "" {
-			ropts = append(ropts, registry.WithCheckpoint(cfg.mergerDir, cfg.mergerCkptInterval))
-			var restored int
-			if reg, restored, err = registry.Restore(engine.M(), ropts...); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "merger state: restored %d members from %s\n", restored, cfg.mergerDir)
-		} else if reg, err = registry.New(engine.M(), ropts...); err != nil {
+	if cfg.mergerDir != "" {
+		var restored int
+		if reg, restored, err = registry.Restore(engine.M(),
+			append(ropts, registry.WithCheckpoint(cfg.mergerDir, cfg.mergerCkptInterval))...); err != nil {
 			return err
 		}
-		defer reg.Close()
-		if cfg.listen != "" {
-			rs, err := transport.ServeRegistry(cfg.listen, reg)
-			if err != nil {
-				return err
-			}
-			defer rs.Close()
-			fmt.Fprintf(w, "control plane: accepting push registrations on tcp://%s\n", rs.Addr())
+		fmt.Fprintf(w, "merger state: restored %d members from %s\n", restored, cfg.mergerDir)
+	} else if reg, err = registry.New(engine.M(), ropts...); err != nil {
+		return err
+	}
+	defer reg.Close()
+	if cfg.listen != "" {
+		rs, err := transport.ServeRegistry(cfg.listen, reg)
+		if err != nil {
+			return err
 		}
-		if cfg.listenHTTP != "" {
-			if httpLis, err = net.Listen("tcp", cfg.listenHTTP); err != nil {
-				return err
-			}
-			defer httpLis.Close()
+		defer rs.Close()
+		fmt.Fprintf(w, "control plane: accepting push registrations on tcp://%s\n", rs.Addr())
+	}
+	var httpLis net.Listener
+	if cfg.listenHTTP != "" {
+		if httpLis, err = net.Listen("tcp", cfg.listenHTTP); err != nil {
+			return err
 		}
+		defer httpLis.Close()
 	}
 
-	var sources []fleet.Source
+	var specs []string
 	if cfg.nodes != "" {
-		for _, spec := range strings.Split(cfg.nodes, ",") {
-			src, err := fleet.ParseSourceAuth(strings.TrimSpace(spec), auth)
-			if err != nil {
-				return err
-			}
-			sources = append(sources, src)
-		}
+		specs = strings.Split(cfg.nodes, ",")
 	}
 	var hist *history.Store
 	if cfg.historyDir != "" {
@@ -258,27 +253,22 @@ func run(w io.Writer, cfg config) error {
 		}
 		defer hist.Close()
 	}
-	fopts := []fleet.Option{fleet.WithStaleAfter(cfg.stale)}
-	if reg != nil {
-		fopts = append(fopts, fleet.WithRegistry(reg))
-	}
+	// The merged stream's numbering continues past the log, so durable
+	// generations never regress across a merger restart.
+	var startSeq uint64
 	if hist != nil {
-		// Continue the merged stream's numbering past the log so the
-		// durable generations never regress across a merger restart.
-		fopts = append(fopts, fleet.WithStreamStartSeq(hist.LastSeq()))
+		startSeq = hist.LastSeq()
 	}
-	f, err := fleet.New(engine.M(), sources, fopts...)
+	f, err := fleet.New(reg, auth, specs, startSeq, tel)
 	if err != nil {
 		return err
 	}
-	f.RegisterMetrics(tel)
-	logger.Info("merger up", "bits", engine.M(), "poll_sources", len(sources),
+	logger.Info("merger up", "bits", engine.M(), "poll_sources", len(specs),
 		"listen", cfg.listen, "listen_http", cfg.listenHTTP)
 
 	// The merger's own SLO catalog: checkpoint write latency, and
 	// control-plane availability (accepted pushes vs rejected messages).
-	// Both read counters the registry already keeps; with no push control
-	// plane they stay empty and the objectives report healthy.
+	// Both read counters the registry already keeps.
 	sloWin, err := slo.ParseWindows(cfg.sloWindows)
 	if err != nil {
 		return err
@@ -295,21 +285,13 @@ func run(w io.Writer, cfg config) error {
 			Name:        "control-plane-availability",
 			Description: "99.9% of control-plane messages accepted (not rejected)",
 			Kind:        slo.Availability, Target: 0.999,
-			Good: func() int64 {
-				if reg == nil {
-					return 0
-				}
-				var n int64
+			Good: func() (n int64) {
 				for _, m := range reg.Status() {
 					n += m.Pushes
 				}
 				return n
 			},
-			Bad: func() int64 {
-				if reg == nil {
-					return 0
-				}
-				var n int64
+			Bad: func() (n int64) {
 				for _, m := range reg.Status() {
 					n += m.Rejects
 				}
@@ -420,9 +402,7 @@ func run(w io.Writer, cfg config) error {
 			// folded with its members' — the parent sees the whole subtree.
 			SnapshotTelemetry: func() *telemetry.Snapshot {
 				s := tel.Snapshot()
-				if reg != nil {
-					s.Merge(reg.Federation().Merged())
-				}
+				s.Merge(reg.Federation().Merged())
 				return s
 			},
 			OnError: func(err error) { logger.Warn("upstream", "err", err) },
@@ -435,11 +415,7 @@ func run(w io.Writer, cfg config) error {
 
 	finish := func() {
 		draining.Store(true) // readyz answers 503 from here on
-		if reg != nil {
-			logger.Info("draining", "trace", reg.LastTrace())
-		} else {
-			logger.Info("draining")
-		}
+		logger.Info("draining", "trace", reg.LastTrace())
 		f.Close() // ends the consumer goroutine and the upstream stream
 		if up != nil {
 			select {
@@ -453,7 +429,7 @@ func run(w io.Writer, cfg config) error {
 				st.Registers, st.Pushes, st.Resyncs, st.BytesPushed)
 		}
 		consumer.Wait()
-		printState(w, f, reg, engine)
+		printState(w, reg, engine)
 		printWindow(w, win, engine, cfg.window)
 	}
 
@@ -464,7 +440,7 @@ func run(w io.Writer, cfg config) error {
 			fmt.Fprintln(os.Stderr, "poll:", pollErr)
 		}
 		finish()
-		if _, n := f.Counts(); n == 0 && pollErr != nil {
+		if _, n := reg.Counts(); n == 0 && pollErr != nil {
 			// Nothing merged and at least one node failed: exit nonzero so
 			// scripts don't mistake a dead fleet for an empty one.
 			return fmt.Errorf("no node reachable: %w", pollErr)
@@ -517,36 +493,36 @@ func servePprof(addr string, logger *slog.Logger) (func(), error) {
 	return func() { _ = lis.Close() }, nil
 }
 
-// printState renders the per-node liveness table (polled sources and
-// push-registered members), the merged total, the control-plane
-// bandwidth accounting, and the calibrated fleet-wide estimates.
-func printState(w io.Writer, f *fleet.Fleet, reg *registry.Registry, engine *core.Engine) {
+// printState renders the per-member liveness table (polled nodes under
+// their spec, push-registered members under push://name), the merged
+// total, the control-plane bandwidth accounting, and the calibrated
+// fleet-wide estimates.
+func printState(w io.Writer, reg *registry.Registry, engine *core.Engine) {
+	members := reg.Status()
+	var deltaBytes, pollBytes int64
 	fmt.Fprintf(w, "%-28s %10s %8s %8s %8s  %s\n", "node", "n", "polls", "fails", "resets", "state")
-	for _, st := range f.Status() {
-		state := "ok"
-		switch {
-		case !st.Have:
-			state = "never-seen"
-		case st.Stale:
-			state = "stale"
+	for _, m := range members {
+		name, state := m.Name, "ok"
+		if !strings.Contains(name, "://") { // a polled member's name is its spec, scheme included
+			name = "push://" + name
 		}
-		if st.LastErr != "" {
-			state += " (" + st.LastErr + ")"
-		}
-		fmt.Fprintf(w, "%-28s %10d %8d %8d %8d  %s\n", st.Name, st.N, st.Polls, st.Failures, st.Resets, state)
-	}
-	counts, n := f.Counts()
-	fmt.Fprintf(w, "merged n=%d across %d nodes\n", n, len(f.Status()))
-	if reg != nil {
-		var deltaBytes, pollBytes int64
-		for _, m := range reg.Status() {
+		if m.Kind != fleet.Kind {
 			deltaBytes += m.DeltaBytes
 			pollBytes += m.PollEquivBytes
 		}
-		if deltaBytes > 0 {
-			fmt.Fprintf(w, "delta-push: received %d bytes; full-snapshot polling equivalent %d bytes (%.1fx)\n",
-				deltaBytes, pollBytes, float64(pollBytes)/float64(deltaBytes))
+		switch {
+		case m.Pushes == 0 && m.N == 0:
+			state = "never-seen"
+		case m.Evicted:
+			state = "stale"
 		}
+		fmt.Fprintf(w, "%-28s %10d %8d %8d %8d  %s\n", name, m.N, m.Pushes, m.Rejects, m.Resets, state)
+	}
+	counts, n := reg.Counts()
+	fmt.Fprintf(w, "merged n=%d across %d nodes\n", n, len(members))
+	if deltaBytes > 0 {
+		fmt.Fprintf(w, "delta-push: received %d bytes; full-snapshot polling equivalent %d bytes (%.1fx)\n",
+			deltaBytes, pollBytes, float64(pollBytes)/float64(deltaBytes))
 	}
 	if n == 0 {
 		return

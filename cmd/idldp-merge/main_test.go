@@ -16,6 +16,7 @@ import (
 	"idldp/internal/registry"
 	"idldp/internal/rng"
 	"idldp/internal/server"
+	"idldp/internal/telemetry"
 	"idldp/internal/transport"
 )
 
@@ -24,7 +25,6 @@ func onceCfg(nodes string) config {
 	return config{
 		nodes:    nodes,
 		interval: time.Second,
-		stale:    time.Minute,
 		once:     true,
 	}
 }
@@ -35,6 +35,28 @@ func TestRunOnceMergesTwoServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	perNode := []int{30, 50}
+	addrs := startFilledServers(t, engine, perNode)
+
+	var out bytes.Buffer
+	cfg := onceCfg("tcp://" + addrs[0] + ", " + addrs[1])
+	cfg.streamOut = true
+	cfg.window = 4
+	if err := run(&out, cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("merged n=%d across 2 nodes", perNode[0]+perNode[1])
+	if !strings.Contains(out.String(), want) {
+		t.Fatalf("output missing %q:\n%s", want, out.String())
+	}
+	if !strings.Contains(out.String(), "fleet-wide estimated frequencies") {
+		t.Fatalf("output missing estimates:\n%s", out.String())
+	}
+}
+
+// startFilledServers starts one framed TCP collector per entry of
+// perNode, sends it that many reports, and returns the addresses.
+func startFilledServers(t *testing.T, engine *core.Engine, perNode []int) []string {
+	t.Helper()
 	var addrs []string
 	for ni, n := range perNode {
 		srv, err := transport.Serve("127.0.0.1:0", engine.M())
@@ -59,21 +81,7 @@ func TestRunOnceMergesTwoServers(t *testing.T) {
 		}
 		c.Close()
 	}
-
-	var out bytes.Buffer
-	cfg := onceCfg("tcp://" + addrs[0] + ", " + addrs[1])
-	cfg.streamOut = true
-	cfg.window = 4
-	if err := run(&out, cfg); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("merged n=%d across 2 nodes", perNode[0]+perNode[1])
-	if !strings.Contains(out.String(), want) {
-		t.Fatalf("output missing %q:\n%s", want, out.String())
-	}
-	if !strings.Contains(out.String(), "fleet-wide estimated frequencies") {
-		t.Fatalf("output missing estimates:\n%s", out.String())
-	}
+	return addrs
 }
 
 func TestRunRequiresMembership(t *testing.T) {
@@ -161,6 +169,36 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
+// waitAddr waits for a running merger to print the control-plane
+// address it bound for scheme ("tcp" or "http").
+func waitAddr(t *testing.T, out *syncBuffer, scheme string) string {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if time.Now().After(deadline) {
+			t.Fatalf("merger never printed its %s address:\n%s", scheme, out.String())
+		}
+		if _, rest, ok := strings.Cut(out.String(), "registrations on "+scheme+"://"); ok && strings.Contains(rest, "\n") {
+			return strings.Fields(rest)[0]
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// get fetches url, failing the test on anything but 200.
+func get(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET %s: %d %s", url, resp.StatusCode, b)
+	}
+	return string(b)
+}
+
 // TestRunListenAcceptsAnnouncingServer: a push-mode merger and an
 // announcing idldp-server runtime wired end to end through the CLI
 // configuration surface.
@@ -174,25 +212,13 @@ func TestRunListenAcceptsAnnouncingServer(t *testing.T) {
 	cfg := config{
 		interval:    50 * time.Millisecond,
 		duration:    2 * time.Second,
-		stale:       time.Minute,
 		listen:      "127.0.0.1:0",
 		fleetToken:  "merge-test-token",
 		heartbeat:   200 * time.Millisecond,
 		evictMissed: 3,
 	}
 	go func() { done <- run(&out, cfg) }()
-	// The merger prints its bound control-plane address; wait for it.
-	var listenAddr string
-	for deadline := time.Now().Add(5 * time.Second); listenAddr == ""; {
-		if time.Now().After(deadline) {
-			t.Fatalf("merger never printed its listen address:\n%s", out.String())
-		}
-		if _, rest, ok := strings.Cut(out.String(), "registrations on tcp://"); ok {
-			listenAddr = strings.TrimSpace(strings.SplitN(rest, "\n", 2)[0])
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	listenAddr := waitAddr(t, &out, "tcp")
 
 	// An announcing node: a streaming runtime + announcer, fed directly.
 	srv, err := startAnnouncingNode(engine, listenAddr, "merge-test-token")
@@ -287,7 +313,6 @@ func TestRunListenHTTPServesLiveEstimates(t *testing.T) {
 	cfg := config{
 		interval:    50 * time.Millisecond,
 		duration:    3 * time.Second,
-		stale:       time.Minute,
 		listen:      "127.0.0.1:0",
 		listenHTTP:  "127.0.0.1:0",
 		fleetToken:  "merge-http-token",
@@ -295,22 +320,7 @@ func TestRunListenHTTPServesLiveEstimates(t *testing.T) {
 		evictMissed: 3,
 	}
 	go func() { done <- run(&out, cfg) }()
-	addrOf := func(scheme string) string {
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			if time.Now().After(deadline) {
-				t.Fatalf("merger never printed its %s address:\n%s", scheme, out.String())
-			}
-			if _, rest, ok := strings.Cut(out.String(), "registrations on "+scheme+"://"); ok {
-				addr := strings.TrimSpace(strings.SplitN(rest, "\n", 2)[0])
-				if i := strings.IndexByte(addr, ' '); i > 0 {
-					addr = addr[:i]
-				}
-				return addr
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	tcpAddr, httpAddr := addrOf("tcp"), addrOf("http")
+	tcpAddr, httpAddr := waitAddr(t, &out, "tcp"), waitAddr(t, &out, "http")
 
 	srv, err := startAnnouncingNode(engine, tcpAddr, "merge-http-token")
 	if err != nil {
@@ -347,14 +357,8 @@ func TestRunListenHTTPServesLiveEstimates(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	resp, err := http.Get("http://" + httpAddr + "/v1/readstats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 || !strings.Contains(string(b), `"calibrations"`) {
-		t.Fatalf("readstats: %d %s", resp.StatusCode, b)
+	if b := get(t, "http://"+httpAddr+"/v1/readstats"); !strings.Contains(b, `"calibrations"`) {
+		t.Fatalf("readstats: %s", b)
 	}
 
 	select {
@@ -364,5 +368,122 @@ func TestRunListenHTTPServesLiveEstimates(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("merger did not stop after its duration")
+	}
+}
+
+// TestRunPolledNodesAreMembers: a polling merger's -nodes are registry
+// members like any push-registered node — listed by GET /v1/fleet,
+// scrapeable as idldp_fleet_member_up{tier="poll"}, merged into the live
+// estimates — and failed fetches are counted where the registry cannot
+// see them.
+func TestRunPolledNodesAreMembers(t *testing.T) {
+	engine, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []string
+	for _, addr := range startFilledServers(t, engine, []int{30, 50}) {
+		specs = append(specs, "tcp://"+addr)
+	}
+	done := make(chan error, 1)
+	var out syncBuffer
+	cfg := config{
+		nodes:      strings.Join(specs, ","),
+		interval:   50 * time.Millisecond,
+		duration:   2 * time.Second,
+		listenHTTP: "127.0.0.1:0",
+	}
+	go func() { done <- run(&out, cfg) }()
+	base := "http://" + waitAddr(t, &out, "http")
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(get(t, base+"/v1/estimates"), `"reports":80`); {
+		if time.Now().After(deadline) {
+			t.Fatalf("live estimates never reached n=80: %s", get(t, base+"/v1/estimates"))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	fleetJSON, metrics := get(t, base+"/v1/fleet"), get(t, base+"/metrics")
+	for _, spec := range specs {
+		if !strings.Contains(fleetJSON, `"name":"`+spec+`","kind":"poll"`) {
+			t.Fatalf("polled node %s missing from /v1/fleet: %s", spec, fleetJSON)
+		}
+		if want := `idldp_fleet_member_up{node="` + spec + `",tier="poll"} 1`; !strings.Contains(metrics, want) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+	if !strings.Contains(metrics, "idldp_poll_failures_total 0") {
+		t.Fatalf("/metrics missing the failed-fetch counter:\n%s", metrics)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); !strings.Contains(got, "merged n=80 across 2 nodes") || strings.Contains(got, "push://") {
+		t.Fatalf("final report:\n%s", got)
+	}
+}
+
+// TestRunMidTierCarriesTraceUpstream: a trace absorbed by a leaf node
+// rides its delta pushes into a mid-tier merger run through run(), and
+// from there — on the merger's own once-per-interval stream — to the
+// top tier it announces to with -upstream.
+func TestRunMidTierCarriesTraceUpstream(t *testing.T) {
+	engine, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const token = "merge-trace-token"
+	auth, err := registry.NewAuthenticator(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := registry.New(engine.M(), registry.WithAuth(auth))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer top.Close()
+	topSrv, err := transport.ServeRegistry("127.0.0.1:0", top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topSrv.Close()
+
+	done := make(chan error, 1)
+	var out syncBuffer
+	cfg := config{
+		interval:    50 * time.Millisecond,
+		duration:    2 * time.Second,
+		listen:      "127.0.0.1:0",
+		fleetToken:  token,
+		heartbeat:   200 * time.Millisecond,
+		evictMissed: 3,
+		upstream:    "tcp://" + topSrv.Addr(),
+		name:        "mid-0",
+	}
+	go func() { done <- run(&out, cfg) }()
+	node, err := startAnnouncingNode(engine, waitAddr(t, &out, "tcp"), token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := telemetry.NewTraceID()
+	node.sink.NoteTrace(trace)
+	r := rng.New(5)
+	for u := 0; u < 200; u++ {
+		if err := node.sink.Add(engine.PerturbItem(u%engine.M(), r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); top.LastTrace() != trace; {
+		if time.Now().After(deadline) {
+			t.Fatalf("top tier last trace = %q, want the leaf's %q", top.LastTrace(), trace)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := node.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, n := top.Counts(); n != 200 {
+		t.Fatalf("top tier merged n = %d, want 200", n)
 	}
 }

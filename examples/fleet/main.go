@@ -8,9 +8,10 @@
 // are order-independent integer sums.
 //
 // Phase 2 (fleet): three aggregation servers each ingest a slice of the
-// population over TCP; a fleet merger polls their snapshot frames and
-// produces fleet-wide estimates identical to a single collector that
-// saw every report. Scaling out is statistically free.
+// population over TCP; a fleet merger polls their snapshot frames into
+// its member registry and produces fleet-wide estimates identical to a
+// single collector that saw every report. Scaling out is statistically
+// free.
 //
 // Run: go run ./examples/fleet
 package main
@@ -27,6 +28,7 @@ import (
 	"idldp/internal/core"
 	"idldp/internal/dist"
 	"idldp/internal/fleet"
+	"idldp/internal/registry"
 	"idldp/internal/rng"
 	"idldp/internal/server"
 	"idldp/internal/transport"
@@ -124,14 +126,14 @@ func fleetDemo(engine *core.Engine, pop *dist.Sampler) {
 	truth := make([]float64, engine.M())
 	reference := agg.New(engine.M())
 
-	var sources []fleet.Source
+	var specs []string
 	for node := 0; node < nodes; node++ {
 		srv, err := transport.Serve("127.0.0.1:0", engine.M(), server.WithShards(2))
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer srv.Close()
-		sources = append(sources, fleet.NewTCPSource(srv.Addr()))
+		specs = append(specs, "tcp://"+srv.Addr())
 
 		c, err := transport.Dial(context.Background(), srv.Addr())
 		if err != nil {
@@ -166,14 +168,21 @@ func fleetDemo(engine *core.Engine, pop *dist.Sampler) {
 		fmt.Printf("node %d: ingested %d perturbed reports on %s\n", node, usersPer, srv.Addr())
 	}
 
-	f, err := fleet.New(engine.M(), sources)
+	// Every polled node becomes a member of the merger's registry — the
+	// same membership push-registered nodes join (examples/tiered-fleet).
+	reg, err := registry.New(engine.M())
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer reg.Close()
+	f, err := fleet.New(reg, nil, specs, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Poll(context.Background()); err != nil {
 		log.Fatal(err)
 	}
-	counts, n := f.Counts()
+	counts, n := reg.Counts()
 	refCounts := reference.Counts()
 	exact := n == reference.N()
 	for i := range refCounts {
@@ -181,7 +190,7 @@ func fleetDemo(engine *core.Engine, pop *dist.Sampler) {
 	}
 	fmt.Printf("fleet merge: n=%d, identical to one collector with every report: %v\n", n, exact)
 
-	est, err := f.Estimates(engine.EstimateSingle)
+	est, err := engine.EstimateSingle(counts, int(n))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -191,8 +200,8 @@ func fleetDemo(engine *core.Engine, pop *dist.Sampler) {
 		fmt.Printf("%-12s %10.0f %10.0f %7.1f%%\n",
 			names[i], truth[i], est[i], 100*math.Abs(est[i]-truth[i])/math.Max(truth[i], 1))
 	}
-	for _, st := range f.Status() {
-		fmt.Printf("node %-22s n=%-7d polls=%d fails=%d stale=%v\n",
-			st.Name, st.N, st.Polls, st.Failures, st.Stale)
+	for _, m := range reg.Status() {
+		fmt.Printf("node %-22s n=%-7d polls=%d resets=%d evicted=%v\n",
+			m.Name, m.N, m.Pushes, m.Resets, m.Evicted)
 	}
 }

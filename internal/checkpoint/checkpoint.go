@@ -12,10 +12,11 @@
 //	seq u64 | n u64 | unixNano u64 | counts | crc32c u32
 //
 // All integers are little-endian; n is a two's-complement int64 on the
-// wire. Version 2 frames carry the counts as a varpack varint payload —
-// counts are overwhelmingly small, so a v2 frame is several times
-// smaller on disk than the fixed 8-bytes-per-bit counts section of a
-// version 1 frame, which Load still decodes for read-back compatibility.
+// wire. The counts are a varpack varint payload (version 2) — counts
+// are overwhelmingly small, so a frame is several times smaller on disk
+// than 8 bytes per bit. Version 1 frames, which carried that fixed-width
+// section and were last written before PR 5, are refused as an
+// unsupported version; Latest then falls back like for any bad frame.
 // The trailing CRC-32 (Castagnoli) covers every preceding byte, so torn
 // or bit-rotted files are detected on load.
 //
@@ -45,11 +46,9 @@ import (
 
 const (
 	magic = "IDCK"
-	// versionFixed64 frames carry a fixed 8-byte-per-bit counts section;
-	// versionPacked frames carry a varpack varint payload instead. Save
-	// writes versionPacked, Load reads both.
-	versionFixed64 = 1
-	versionPacked  = 2
+	// versionPacked frames carry the counts as a varpack varint payload;
+	// it is the only version written or read.
+	versionPacked = 2
 
 	// headerSize is magic+version+reserved+bits+seq+n+unixNano.
 	headerSize = 4 + 2 + 2 + 4 + 8 + 8 + 8
@@ -227,7 +226,7 @@ func encode(snap Snapshot) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// decode parses and validates one frame of either version.
+// decode parses and validates one frame.
 func decode(data []byte) (Snapshot, error) {
 	if len(data) < headerSize+trailerSize {
 		return Snapshot{}, fmt.Errorf("frame truncated at %d bytes", len(data))
@@ -235,16 +234,10 @@ func decode(data []byte) (Snapshot, error) {
 	if string(data[:4]) != magic {
 		return Snapshot{}, fmt.Errorf("bad magic %q", data[:4])
 	}
-	v := binary.LittleEndian.Uint16(data[4:])
-	if v != versionFixed64 && v != versionPacked {
+	if v := binary.LittleEndian.Uint16(data[4:]); v != versionPacked {
 		return Snapshot{}, fmt.Errorf("unsupported version %d", v)
 	}
 	bits := int(binary.LittleEndian.Uint32(data[8:]))
-	if v == versionFixed64 {
-		if want := headerSize + 8*bits + trailerSize; len(data) != want {
-			return Snapshot{}, fmt.Errorf("frame has %d bytes for %d bits, want %d", len(data), bits, want)
-		}
-	}
 	body := data[:len(data)-trailerSize]
 	if got, wantCRC := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(data[len(body):]); got != wantCRC {
 		return Snapshot{}, fmt.Errorf("crc mismatch: computed %08x, stored %08x", got, wantCRC)
@@ -255,15 +248,7 @@ func decode(data []byte) (Snapshot, error) {
 		N:    int64(binary.LittleEndian.Uint64(data[20:])),
 		Time: time.Unix(0, int64(binary.LittleEndian.Uint64(data[28:]))),
 	}
-	counts := body[headerSize:]
-	if v == versionFixed64 {
-		snap.Counts = make([]int64, bits)
-		for i := range snap.Counts {
-			snap.Counts[i] = int64(binary.LittleEndian.Uint64(counts[8*i:]))
-		}
-		return snap, nil
-	}
-	decoded, err := varpack.Unpack(counts)
+	decoded, err := varpack.Unpack(body[headerSize:])
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("counts payload: %w", err)
 	}

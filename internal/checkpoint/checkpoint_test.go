@@ -170,12 +170,12 @@ func TestDecodeRejectsMalformedFrames(t *testing.T) {
 }
 
 // encodeV1 renders a legacy version-1 frame (fixed 8 bytes per bit) the
-// way the pre-compression store wrote it, so the read-back compat test
-// exercises real v1 bytes rather than whatever encode currently emits.
+// way the pre-compression store wrote it, so the refusal test exercises
+// real v1 bytes.
 func encodeV1(snap Snapshot) []byte {
 	buf := make([]byte, headerSize+8*len(snap.Counts)+trailerSize)
 	copy(buf, magic)
-	binary.LittleEndian.PutUint16(buf[4:], versionFixed64)
+	binary.LittleEndian.PutUint16(buf[4:], 1)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(len(snap.Counts)))
 	binary.LittleEndian.PutUint64(buf[12:], snap.Seq)
 	binary.LittleEndian.PutUint64(buf[20:], uint64(snap.N))
@@ -189,39 +189,37 @@ func encodeV1(snap Snapshot) []byte {
 	return buf
 }
 
-// TestReadsLegacyV1Frames: a store upgraded under an existing checkpoint
-// directory must resume from frames the old code wrote.
-func TestReadsLegacyV1Frames(t *testing.T) {
+// TestRefusesLegacyV1Frames: nothing has written a version-1 frame since
+// the packed format landed, so the reader is gone — a v1 frame is an
+// unsupported version, Latest falls back to the next valid frame like
+// for any other bad one, and sequence numbering still continues past it.
+func TestRefusesLegacyV1Frames(t *testing.T) {
 	dir := t.TempDir()
 	counts := []int64{7, 0, 123456, 3}
-	frame := encodeV1(Snapshot{Bits: len(counts), Counts: counts, N: 123463, Seq: 5})
-	if err := os.WriteFile(filepath.Join(dir, fileName(5)), frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snap, ok, err := Latest(dir)
-	if err != nil || !ok {
-		t.Fatalf("Latest on v1 frame: ok=%v err=%v", ok, err)
-	}
-	if snap.Seq != 5 || snap.N != 123463 {
-		t.Fatalf("v1 frame decoded as seq=%d n=%d", snap.Seq, snap.N)
-	}
-	for i, c := range counts {
-		if snap.Counts[i] != c {
-			t.Fatalf("v1 count %d = %d, want %d", i, snap.Counts[i], c)
-		}
-	}
-	// Sequence numbering must continue after the legacy frame, and the new
-	// v2 frame must round-trip alongside it.
 	st, err := NewStore(dir, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := st.Save(counts, 123463)
+	older, err := st.Save(counts, 123463)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Seq != 6 {
-		t.Fatalf("seq after v1 frame = %d, want 6", next.Seq)
+	v1 := encodeV1(Snapshot{Bits: len(counts), Counts: counts, N: 999999, Seq: older.Seq + 1})
+	if _, err := decode(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("decode of a v1 frame: err = %v, want unsupported version", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fileName(older.Seq+1)), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := Latest(dir)
+	if err != nil || !ok || snap.Seq != older.Seq || snap.N != 123463 {
+		t.Fatalf("Latest past a v1 frame: seq=%d n=%d ok=%v err=%v, want the older v2 frame", snap.Seq, snap.N, ok, err)
+	}
+	if st, err = NewStore(dir, 3); err != nil {
+		t.Fatal(err)
+	}
+	if next, err := st.Save(counts, 123463); err != nil || next.Seq != older.Seq+2 {
+		t.Fatalf("save after the v1 frame: seq=%d err=%v, want seq %d", next.Seq, err, older.Seq+2)
 	}
 }
 

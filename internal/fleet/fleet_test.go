@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,16 +21,76 @@ import (
 	"idldp/internal/rng"
 	"idldp/internal/server"
 	"idldp/internal/stream"
+	"idldp/internal/telemetry"
 	"idldp/internal/transport"
 	"idldp/internal/varpack"
 )
 
-// startNodes brings up nodeCount collector nodes, alternating framed TCP
-// and HTTP so every merge test exercises both transports, and returns
-// their fleet sources plus a cleanup-registered teardown.
-func startNodes(t *testing.T, e *core.Engine, nodeCount int) []Source {
+// newFleet builds an open-fleet registry for bits (plus opts) and a
+// poller over nodes feeding it.
+func newFleet(t *testing.T, bits int, nodes []*node, opts ...registry.Option) (*Fleet, *registry.Registry) {
 	t.Helper()
-	sources := make([]Source, nodeCount)
+	reg, err := registry.New(bits, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { reg.Close() })
+	return pollerOf(t, reg, nil, 0, nodes), reg
+}
+
+// pollerOf is New over ready-made nodes: real ones from mustParse,
+// scripted ones from static, script or a literal.
+func pollerOf(t *testing.T, reg *registry.Registry, auth *registry.Authenticator, startSeq uint64, nodes []*node) *Fleet {
+	t.Helper()
+	f, err := New(reg, auth, nil, startSeq, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.nodes = nodes
+	return f
+}
+
+func mustParse(t *testing.T, spec string) *node {
+	t.Helper()
+	nd, err := parse(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nd
+}
+
+// member returns the registry's status row for name.
+func member(t *testing.T, reg *registry.Registry, name string) registry.MemberStatus {
+	t.Helper()
+	for _, m := range reg.Status() {
+		if m.Name == name {
+			return m
+		}
+	}
+	t.Fatalf("no member %q in %+v", name, reg.Status())
+	return registry.MemberStatus{}
+}
+
+// pushResync registers name on reg as a push member and delivers one
+// full-state frame, as a node's announcer would.
+func pushResync(t *testing.T, reg *registry.Registry, name string, counts []int64, n int64) {
+	t.Helper()
+	grant, err := reg.Register(registry.RegisterRequest{Name: name, Bits: reg.Bits(), Kind: "node"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = reg.Push(registry.Push{Name: name, Session: grant.Session,
+		Frame: registry.PushFrame{Seq: 1, Resync: true, Packed: varpack.Pack(counts), N: n}})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// startNodes brings up nodeCount collector nodes, alternating framed TCP
+// and HTTP so every merge test exercises both transports.
+func startNodes(t *testing.T, e *core.Engine, nodeCount int) []*node {
+	t.Helper()
+	sources := make([]*node, nodeCount)
 	for i := range sources {
 		if i%2 == 0 {
 			srv, err := transport.Serve("127.0.0.1:0", e.M(), server.WithShards(2))
@@ -36,7 +98,7 @@ func startNodes(t *testing.T, e *core.Engine, nodeCount int) []Source {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { srv.Close() })
-			sources[i] = NewTCPSource(srv.Addr())
+			sources[i] = mustParse(t, srv.Addr())
 		} else {
 			h, err := httpapi.New(e.M(), e.EstimateSingle, server.WithShards(2))
 			if err != nil {
@@ -45,33 +107,17 @@ func startNodes(t *testing.T, e *core.Engine, nodeCount int) []Source {
 			hs := httptest.NewServer(h)
 			t.Cleanup(hs.Close)
 			t.Cleanup(func() { h.Close() })
-			sources[i] = NewHTTPSource(hs.URL)
+			sources[i] = mustParse(t, hs.URL)
 		}
 	}
 	return sources
 }
 
-// postReport POSTs one report to an httpapi node, returning the status.
-func postReport(t *testing.T, base string, v *bitvec.Vector) int {
-	t.Helper()
-	body, err := json.Marshal(map[string]any{"words": v.Words(), "bits": v.Len()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(base+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
-
 // sendTo ships one report to a node through its native transport.
-func sendTo(t *testing.T, src Source, v *bitvec.Vector) {
+func sendTo(t *testing.T, nd *node, v *bitvec.Vector) {
 	t.Helper()
-	switch s := src.(type) {
-	case *TCPSource:
-		c, err := transport.Dial(context.Background(), s.addr)
+	if addr, ok := strings.CutPrefix(nd.name, "tcp://"); ok {
+		c, err := transport.Dial(context.Background(), addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,21 +130,27 @@ func sendTo(t *testing.T, src Source, v *bitvec.Vector) {
 		if _, _, _, err := c.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-	case *HTTPSource:
-		resp := postReport(t, s.base, v)
-		if resp != 202 {
-			t.Fatalf("report rejected with status %d", resp)
-		}
-	default:
-		t.Fatalf("unknown source type %T", src)
+		return
+	}
+	body, err := json.Marshal(map[string]any{"words": v.Words(), "bits": v.Len()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nd.name+"/v1/report", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 202 {
+		t.Fatalf("report rejected with status %d", resp.StatusCode)
 	}
 }
 
 // TestFleetMergeEquivalence is the multi-node half of the exactness
-// guarantee: reports partitioned across 2 and 4 nodes (mixed framed TCP and
-// HTTP), merged by the fleet, must produce per-bit counts — and
-// therefore estimates — bit-for-bit identical to one collector that
-// ingested every report.
+// guarantee: reports partitioned across 2 and 4 polled nodes (mixed
+// framed TCP and HTTP) plus one push-registered member must merge to
+// per-bit counts — and therefore estimates — bit-for-bit identical to
+// one collector that ingested every report.
 func TestFleetMergeEquivalence(t *testing.T) {
 	e, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
 	if err != nil {
@@ -126,17 +178,20 @@ func TestFleetMergeEquivalence(t *testing.T) {
 	for _, nodeCount := range []int{2, 4} {
 		t.Run(fmt.Sprintf("nodes=%d", nodeCount), func(t *testing.T) {
 			sources := startNodes(t, e, nodeCount)
+			pushed := agg.New(e.M())
 			for u, v := range reports {
-				sendTo(t, sources[u%nodeCount], v)
+				if k := u % (nodeCount + 1); k < nodeCount {
+					sendTo(t, sources[k], v)
+				} else {
+					pushed.Add(v)
+				}
 			}
-			f, err := New(e.M(), sources, WithPollTimeout(10*time.Second))
-			if err != nil {
-				t.Fatal(err)
-			}
+			f, reg := newFleet(t, e.M(), sources)
+			pushResync(t, reg, "pusher", pushed.Counts(), pushed.N())
 			if err := f.Poll(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			gotCounts, gotN := f.Counts()
+			gotCounts, gotN := reg.Counts()
 			if gotN != n {
 				t.Fatalf("merged n = %d, want %d", gotN, n)
 			}
@@ -145,7 +200,7 @@ func TestFleetMergeEquivalence(t *testing.T) {
 					t.Fatalf("bit %d: merged %d, single-collector %d", i, gotCounts[i], wantCounts[i])
 				}
 			}
-			gotEst, err := f.Estimates(e.EstimateSingle)
+			gotEst, err := e.EstimateSingle(gotCounts, int(gotN))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,97 +209,183 @@ func TestFleetMergeEquivalence(t *testing.T) {
 					t.Fatalf("estimate %d: merged %v, single-collector %v", i, gotEst[i], wantEst[i])
 				}
 			}
-			for _, st := range f.Status() {
-				if st.Stale || st.Failures != 0 || st.Resets != 0 {
-					t.Fatalf("healthy node reported unhealthy: %+v", st)
+			sts := reg.Status()
+			if len(sts) != nodeCount+1 {
+				t.Fatalf("%d members, want %d polled + 1 pushed", len(sts), nodeCount)
+			}
+			for _, st := range sts {
+				if st.Evicted || st.Rejects != 0 || st.Resets != 0 || (st.Kind == Kind) == (st.Name == "pusher") {
+					t.Fatalf("healthy member reported unhealthy: %+v", st)
 				}
 			}
 		})
 	}
 }
 
-// failingSource always errors, to drive the liveness bookkeeping.
-type failingSource struct{}
+// scripted is a node whose fetches are answered by fetch.
+func scripted(name string, fetch func() ([]int64, int64, error)) *node {
+	return &node{name: name, fetch: func(context.Context, int) ([]int64, int64, error) { return fetch() }}
+}
 
-func (failingSource) Name() string                            { return "dead-node" }
-func (failingSource) Fetch(context.Context) (Snapshot, error) { return Snapshot{}, fmt.Errorf("down") }
+// static serves one fixed snapshot.
+func static(name string, counts []int64, n int64) *node {
+	return scripted(name, func() ([]int64, int64, error) { return counts, n, nil })
+}
 
-// staticSource serves a fixed snapshot.
-type staticSource struct{ snap Snapshot }
+// script replays a sequence of snapshots, then repeats the last one.
+func script(name string, counts [][]int64, ns []int64) *node {
+	calls := 0
+	return scripted(name, func() ([]int64, int64, error) {
+		i := min(calls, len(ns)-1)
+		calls++
+		return counts[i], ns[i], nil
+	})
+}
 
-func (staticSource) Name() string                              { return "static" }
-func (s staticSource) Fetch(context.Context) (Snapshot, error) { return s.snap, nil }
-
-// TestLivenessTracking: a dead node goes stale and reports its error; a
-// live node keeps contributing.
+// TestLivenessTracking: a node that never answers is a loud poll error
+// and never becomes a member; a live node keeps contributing, goes
+// Evicted once it is unreachable for the heartbeat window — its counts
+// still merged, its failures quiet and counted — and rejoins under a new
+// session when it answers again.
 func TestLivenessTracking(t *testing.T) {
-	live := staticSource{snap: Snapshot{Bits: 4, Counts: []int64{1, 2, 3, 4}, N: 4}}
-	f, err := New(4, []Source{live, failingSource{}}, WithStaleAfter(time.Hour))
+	down := false
+	live := scripted("live", func() ([]int64, int64, error) {
+		if down {
+			return nil, 0, &net.OpError{Op: "dial", Err: fmt.Errorf("connection refused")}
+		}
+		return []int64{1, 2, 3, 4}, 4, nil
+	})
+	dead := scripted("dead-node", func() ([]int64, int64, error) { return nil, 0, fmt.Errorf("down") })
+	reg, err := registry.New(4, registry.WithHeartbeat(20*time.Millisecond, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Poll(context.Background()); err == nil {
-		t.Fatal("poll with a dead node reported no error")
+	defer reg.Close()
+	tel := telemetry.NewRegistry("idldp")
+	f, err := New(reg, nil, nil, 0, tel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	counts, n := f.Counts()
-	if n != 4 || counts[3] != 4 {
+	f.nodes = []*node{live, dead}
+	ctx := context.Background()
+	if err := f.Poll(ctx); err == nil || !strings.Contains(err.Error(), "dead-node") {
+		t.Fatalf("poll with a dead node: err = %v", err)
+	}
+	if counts, n := reg.Counts(); n != 4 || counts[3] != 4 {
 		t.Fatalf("live node's snapshot lost: counts=%v n=%d", counts, n)
 	}
-	sts := f.Status()
-	if sts[0].Stale || sts[0].Failures != 0 {
-		t.Fatalf("live node: %+v", sts[0])
+	if sts := reg.Status(); len(sts) != 1 || sts[0].Name != "live" || sts[0].Kind != Kind || sts[0].Evicted {
+		t.Fatalf("members after one poll: %+v", sts)
 	}
-	if !sts[1].Stale || sts[1].Failures != 1 || sts[1].LastErr == "" {
-		t.Fatalf("dead node: %+v", sts[1])
+
+	down = true
+	if err := f.Poll(ctx); err == nil || strings.Contains(err.Error(), "live") {
+		t.Fatalf("transient failure of a seen node surfaced (or the dead node went quiet): %v", err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if st := member(t, reg, "live"); !st.Evicted || st.N != 4 {
+		t.Fatalf("unreachable node after the heartbeat window: %+v", st)
+	}
+	if _, n := reg.Counts(); n != 4 {
+		t.Fatalf("evicted member's counts dropped: n=%d", n)
+	}
+
+	down = false
+	_ = f.Poll(ctx)
+	if st := member(t, reg, "live"); st.Evicted || st.Registrations != 2 || st.Resets != 0 {
+		t.Fatalf("node back after eviction: %+v", st)
+	}
+	var prom bytes.Buffer
+	if err := tel.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+	// Three rounds of the dead node plus one of the live node while down.
+	if !strings.Contains(prom.String(), "idldp_poll_failures_total 4\n") {
+		t.Fatalf("failed fetches not counted:\n%s", prom.String())
 	}
 }
 
-// TestResetDetection: a node whose cumulative count regresses is flagged.
+// TestResetDetection: a node whose cumulative count regresses is flagged
+// and its authoritative state adopted.
 func TestResetDetection(t *testing.T) {
-	src := &flipSource{}
-	f, err := New(1, []Source{src})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, reg := newFleet(t, 1, []*node{script("flip", [][]int64{{5}, {2}}, []int64{5, 2})})
 	for i := 0; i < 2; i++ {
 		if err := f.Poll(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := f.Status()[0]; st.Resets != 1 {
+	if st := member(t, reg, "flip"); st.Resets != 1 {
 		t.Fatalf("Resets = %d, want 1", st.Resets)
 	}
-	if _, n := f.Counts(); n != 2 {
+	if _, n := reg.Counts(); n != 2 {
 		t.Fatalf("merged n = %d, want the node's authoritative 2", n)
 	}
 }
 
-// flipSource returns a high count first, then a lower one (simulated
-// restart without restore).
-type flipSource struct{ calls int }
-
-func (s *flipSource) Name() string { return "flip" }
-func (s *flipSource) Fetch(context.Context) (Snapshot, error) {
-	s.calls++
-	if s.calls == 1 {
-		return Snapshot{Bits: 1, Counts: []int64{5}, N: 5}, nil
-	}
-	return Snapshot{Bits: 1, Counts: []int64{2}, N: 2}, nil
-}
-
-// TestBitsMismatchRejected: a node with the wrong domain is an error and
-// never pollutes the merge.
+// TestBitsMismatchRejected: a node with the wrong domain is an error —
+// on every poll, not just the first — and never pollutes the merge,
+// whether the fetcher or the registry catches it.
 func TestBitsMismatchRejected(t *testing.T) {
-	bad := staticSource{snap: Snapshot{Bits: 3, Counts: []int64{1, 1, 1}, N: 1}}
-	f, err := New(4, []Source{bad})
+	h, err := httpapi.New(3, func(c []int64, n int) ([]float64, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Poll(context.Background()); err == nil {
-		t.Fatal("bits mismatch accepted")
+	defer h.Close()
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+	srv, err := transport.Serve("127.0.0.1:0", 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, n := f.Counts(); n != 0 {
-		t.Fatalf("mismatched snapshot merged: n=%d", n)
+	defer srv.Close()
+	for _, nd := range []*node{
+		static("short", []int64{1, 1, 1}, 1),
+		mustParse(t, hs.URL),
+		mustParse(t, srv.Addr()),
+	} {
+		f, reg := newFleet(t, 4, []*node{nd})
+		for i := 0; i < 2; i++ {
+			if err := f.Poll(context.Background()); err == nil {
+				t.Fatalf("%s: bits mismatch accepted", nd.name)
+			}
+		}
+		if _, n := reg.Counts(); n != 0 {
+			t.Fatalf("%s: mismatched snapshot merged: n=%d", nd.name, n)
+		}
+	}
+}
+
+// TestHostileHTTPNode: whatever answers on a node's port cannot crash or
+// balloon the merger — a negative or absurd declared domain and a body
+// larger than any genuine m-bit snapshot are all failed fetches.
+func TestHostileHTTPNode(t *testing.T) {
+	var reply func(w http.ResponseWriter)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { reply(w) }))
+	defer hs.Close()
+	f, reg := newFleet(t, 4, []*node{mustParse(t, hs.URL), static("good", []int64{1, 0, 1, 0}, 2)})
+	for name, body := range map[string]string{
+		"negative bits": `{"bits":-1,"n":1}`,
+		"huge bits":     `{"bits":1000000000000,"n":1}`,
+		"float bits":    `{"bits":1e12,"n":1}`,
+		"oversized":     `{"bits":4,"n":1,"packed":"` + strings.Repeat("A", 1<<20) + `"}`,
+		"no payload":    `{"bits":4,"n":1}`,
+		"endless":       "",
+	} {
+		reply = func(w http.ResponseWriter) { fmt.Fprint(w, body) }
+		if name == "endless" {
+			reply = func(w http.ResponseWriter) {
+				for i := 0; i < 1<<12; i++ {
+					fmt.Fprint(w, strings.Repeat(" ", 1<<10))
+				}
+			}
+		}
+		err := f.Poll(context.Background())
+		if err == nil || !strings.Contains(err.Error(), hs.URL) {
+			t.Fatalf("%s: poll error = %v", name, err)
+		}
+	}
+	if sts := reg.Status(); len(sts) != 1 || sts[0].Name != "good" || sts[0].N != 2 || sts[0].Pushes != 6 {
+		t.Fatalf("merger state after hostile replies: %+v", sts)
 	}
 }
 
@@ -254,7 +395,7 @@ func TestParseSource(t *testing.T) {
 		want string
 		ok   bool
 	}{
-		{"http://10.0.0.7:8080", "http://10.0.0.7:8080", true},
+		{"http://10.0.0.7:8080/", "http://10.0.0.7:8080", true},
 		{"https://node.example", "https://node.example", true},
 		{"tcp://10.0.0.7:7070", "tcp://10.0.0.7:7070", true},
 		{"10.0.0.7:7070", "tcp://10.0.0.7:7070", true},
@@ -262,42 +403,37 @@ func TestParseSource(t *testing.T) {
 		{"", "", false},
 	}
 	for _, c := range cases {
-		src, err := ParseSource(c.spec)
+		nd, err := parse(c.spec, nil)
 		if c.ok != (err == nil) {
-			t.Errorf("ParseSource(%q) err = %v, want ok=%v", c.spec, err, c.ok)
+			t.Errorf("parse(%q) err = %v, want ok=%v", c.spec, err, c.ok)
 			continue
 		}
-		if err == nil && src.Name() != c.want {
-			t.Errorf("ParseSource(%q).Name() = %q, want %q", c.spec, src.Name(), c.want)
+		if err == nil && (nd.name != c.want || nd.fetch == nil) {
+			t.Errorf("parse(%q) = %+v, want name %q and a fetcher", c.spec, nd, c.want)
 		}
 	}
 }
 
+// TestNewValidation: New refuses a spec list it cannot parse (specs are
+// trimmed first) and needs no specs at all.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, []Source{staticSource{}}); err == nil {
-		t.Fatal("bits=0 accepted")
+	reg, err := registry.New(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(4, nil); err == nil {
-		t.Fatal("no sources accepted")
+	defer reg.Close()
+	for _, specs := range [][]string{{"127.0.0.1:7070", "gopher://x"}, {""}} {
+		if _, err := New(reg, nil, specs, 0, nil); err == nil {
+			t.Fatalf("specs %q accepted", specs)
+		}
 	}
-}
-
-// seqSource replays a scripted sequence of snapshots, then repeats the
-// last one.
-type seqSource struct {
-	name  string
-	snaps []Snapshot
-	calls int
-}
-
-func (s *seqSource) Name() string { return s.name }
-func (s *seqSource) Fetch(context.Context) (Snapshot, error) {
-	i := s.calls
-	if i >= len(s.snaps) {
-		i = len(s.snaps) - 1
+	f, err := New(reg, nil, []string{" 127.0.0.1:7070", "http://h:1/ "}, 0, nil)
+	if err != nil || len(f.nodes) != 2 || f.nodes[0].name != "tcp://127.0.0.1:7070" || f.nodes[1].name != "http://h:1" {
+		t.Fatalf("New over two specs: %+v, %v", f, err)
 	}
-	s.calls++
-	return s.snaps[i], nil
+	if _, err := New(reg, nil, nil, 0, nil); err != nil {
+		t.Fatalf("registry-only fleet refused: %v", err)
+	}
 }
 
 // TestStreamResyncOnNodeReset: a node restarting mid-campaign without
@@ -305,22 +441,12 @@ func (s *seqSource) Fetch(context.Context) (Snapshot, error) {
 // that as a full resync frame, never as a negative delta, and a
 // subscriber's accumulated state must end exactly on the merged counts.
 func TestStreamResyncOnNodeReset(t *testing.T) {
-	steady := &seqSource{name: "steady", snaps: []Snapshot{
-		{Bits: 3, Counts: []int64{4, 1, 0}, N: 5},
-		{Bits: 3, Counts: []int64{6, 2, 1}, N: 9},
-		{Bits: 3, Counts: []int64{7, 2, 1}, N: 10},
-	}}
+	steady := script("steady", [][]int64{{4, 1, 0}, {6, 2, 1}, {7, 2, 1}}, []int64{5, 9, 10})
 	// Restarts after the first poll: cumulative state falls back to near
-	// zero, then grows again.
-	restarter := &seqSource{name: "restarter", snaps: []Snapshot{
-		{Bits: 3, Counts: []int64{10, 5, 5}, N: 20},
-		{Bits: 3, Counts: []int64{1, 0, 0}, N: 1},
-		{Bits: 3, Counts: []int64{3, 1, 0}, N: 4},
-	}}
-	f, err := New(3, []Source{steady, restarter})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// zero, then grows again — by less than steady grew, so no merged
+	// count regresses on the second poll and only Resets tells.
+	restarter := script("restarter", [][]int64{{10, 5, 5}, {9, 5, 5}, {11, 6, 5}}, []int64{20, 19, 22})
+	f, reg := newFleet(t, 3, []*node{steady, restarter})
 	sub, err := f.Subscribe(16)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +457,7 @@ func TestStreamResyncOnNodeReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := f.Status()[1]; st.Resets != 1 {
+	if st := member(t, reg, "restarter"); st.Resets != 1 {
 		t.Fatalf("restarter resets = %d, want 1", st.Resets)
 	}
 	f.Close()
@@ -347,14 +473,9 @@ func TestStreamResyncOnNodeReset(t *testing.T) {
 			t.Fatalf("apply frame %+v: %v", d, err)
 		}
 		// The regression interval must never surface as a negative delta.
-		if !d.Resync {
-			for j, inc := range d.Inc {
-				if inc < 0 {
-					t.Fatalf("negative delta increment %d on bit %d: %+v", inc, d.Bits[j], d)
-				}
-			}
-			if d.DN < 0 {
-				t.Fatalf("negative DN: %+v", d)
+		for j, inc := range d.Inc {
+			if inc < 0 || d.DN < 0 {
+				t.Fatalf("negative increment %d on bit %d (dn %d): %+v", inc, d.Bits[j], d.DN, d)
 			}
 		}
 	}
@@ -362,10 +483,10 @@ func TestStreamResyncOnNodeReset(t *testing.T) {
 	if len(frames) != 4 {
 		t.Fatalf("got %d frames: %+v", len(frames), frames)
 	}
-	if !frames[2].Resync {
-		t.Fatalf("reset poll published %+v, want a resync frame", frames[2])
+	if !frames[2].Resync || frames[1].Resync || frames[3].Resync {
+		t.Fatalf("want only the reset poll (and the initial frame) published as a resync: %+v", frames)
 	}
-	wantCounts, wantN := f.Counts()
+	wantCounts, wantN := reg.Counts()
 	gotCounts, gotN := acc.Counts()
 	if gotN != wantN {
 		t.Fatalf("subscriber n = %d, merged %d", gotN, wantN)
@@ -378,23 +499,31 @@ func TestStreamResyncOnNodeReset(t *testing.T) {
 }
 
 // TestSubscribeMidCampaignSeedsState: the first frame a late subscriber
-// sees is a resync with the already-merged state, not zeros.
+// sees is a resync with the already-merged state, not zeros, and the
+// stream numbers its frames after the start sequence.
 func TestSubscribeMidCampaignSeedsState(t *testing.T) {
-	src := staticSource{snap: Snapshot{Bits: 2, Counts: []int64{3, 4}, N: 7}}
-	f, err := New(2, []Source{src})
+	reg, err := registry.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer reg.Close()
+	f := pollerOf(t, reg, nil, 40, []*node{static("static", []int64{3, 4}, 7)})
+	if f.Ready() {
+		t.Fatal("ready before the first poll")
+	}
 	if err := f.Poll(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if !f.Ready() {
+		t.Fatal("not ready after a poll")
 	}
 	sub, err := f.Subscribe(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d := <-sub.C()
-	if !d.Resync || d.N != 7 || d.Counts[1] != 4 {
-		t.Fatalf("initial frame %+v, want resync of the merged state", d)
+	if !d.Resync || d.N != 7 || d.Counts[1] != 4 || d.Seq <= 40 {
+		t.Fatalf("initial frame %+v, want resync of the merged state past seq 40", d)
 	}
 	f.Close()
 	if _, err := f.Subscribe(1); err == nil {
@@ -402,64 +531,47 @@ func TestSubscribeMidCampaignSeedsState(t *testing.T) {
 	}
 }
 
-// TestMidRestartNodeGoesStaleNotError: a node that has answered before
-// and then refuses connections (mid-restart) must not surface a poll
-// error — it shows up as a failure count and eventual staleness, and
-// its last snapshot keeps contributing.
+// TestMidRestartNodeGoesStaleNotError: a real node that has answered
+// before and then refuses connections (mid-restart) must not surface a
+// poll error, and its last snapshot keeps contributing. A node that has
+// never answered stays a loud error.
 func TestMidRestartNodeGoesStaleNotError(t *testing.T) {
 	srv, err := transport.Serve("127.0.0.1:0", 4, server.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := srv.Addr()
+	src := mustParse(t, srv.Addr())
 	v := bitvec.New(4)
 	v.Set(1)
-	src := NewTCPSource(addr)
 	sendTo(t, src, v)
 
-	f, err := New(4, []Source{src}, WithStaleAfter(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, reg := newFleet(t, 4, []*node{src})
 	if err := f.Poll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
 	// Kill the node: the next poll's dial is refused — a transient
 	// condition, not a poll error.
 	srv.Close()
 	if err := f.Poll(context.Background()); err != nil {
 		t.Fatalf("mid-restart dial error surfaced from Poll: %v", err)
 	}
-	time.Sleep(2 * time.Millisecond)
-	st := f.Status()[0]
-	if st.Failures != 1 || st.LastErr == "" || !st.Stale {
+	if st := member(t, reg, src.name); st.Pushes != 1 || st.N != 1 {
 		t.Fatalf("mid-restart node status: %+v", st)
 	}
-	// The stale snapshot still answers.
-	counts, n := f.Counts()
-	if n != 1 || counts[1] != 1 {
+	if counts, n := reg.Counts(); n != 1 || counts[1] != 1 {
 		t.Fatalf("stale snapshot lost: counts=%v n=%d", counts, n)
 	}
-	// Estimates still work from the stale state.
-	if _, err := f.Estimates(func(counts []int64, n int) ([]float64, error) {
-		return make([]float64, len(counts)), nil
-	}); err != nil {
-		t.Fatalf("Estimates surfaced the transient failure: %v", err)
-	}
 
-	// A node that has *never* answered stays a loud error.
-	dead, err := New(4, []Source{NewTCPSource(addr)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dead, _ := newFleet(t, 4, []*node{mustParse(t, srv.Addr())})
 	if err := dead.Poll(context.Background()); err == nil {
 		t.Fatal("never-seen dead node reported no poll error")
 	}
 }
 
-// TestRegistryBackedMembership: push-registered members merge and
-// report liveness alongside polled sources.
+// TestRegistryBackedMembership: on an authenticated registry polled and
+// push-registered members merge and report liveness side by side, the
+// merged stream advances once per poll rather than once per push, and a
+// fleet with no sources is just that tick.
 func TestRegistryBackedMembership(t *testing.T) {
 	auth, err := registry.NewAuthenticator("fleet-token")
 	if err != nil {
@@ -470,15 +582,16 @@ func TestRegistryBackedMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-
-	polled := staticSource{snap: Snapshot{Bits: 2, Counts: []int64{1, 0}, N: 1}}
-	f, err := New(2, []Source{polled}, WithRegistry(reg))
+	polled := []*node{static("polled", []int64{1, 0}, 1)}
+	if pollerOf(t, reg, nil, 0, polled).Poll(context.Background()) == nil {
+		t.Fatal("unsigned poller merged into an authenticated registry")
+	}
+	f := pollerOf(t, reg, auth, 0, polled)
+	sub, err := f.Subscribe(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Poll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	<-sub.C() // initial resync
 
 	req := registry.RegisterRequest{Name: "pusher", Bits: 2, Kind: "node"}
 	req.SignRegister(auth, time.Now())
@@ -486,99 +599,83 @@ func TestRegistryBackedMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := registry.Push{Name: "pusher", Session: grant.Session,
-		Frame: registry.PushFrame{Seq: 1, Resync: true, Packed: varpack.Pack([]int64{0, 5}), N: 5}}
-	p.SignPush(auth, time.Now())
-	if err := reg.Push(p); err != nil {
+	trace := telemetry.NewTraceID()
+	for seq, c := range []int64{2, 4, 5} {
+		p := registry.Push{Name: "pusher", Session: grant.Session, Frame: registry.PushFrame{
+			Seq: uint64(seq + 1), Resync: true, Packed: varpack.Pack([]int64{0, c}), N: c, Trace: trace}}
+		p.SignPush(auth, time.Now())
+		if err := reg.Push(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case d := <-sub.C():
+		t.Fatalf("a push published %+v ahead of the tick", d)
+	default:
+	}
+	if err := f.Poll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	if d := <-sub.C(); d.Resync || d.N != 6 || d.Trace != trace || len(sub.C()) != 0 {
+		t.Fatalf("tick frame %+v (%d more queued), want one delta to n=6 carrying the pushed trace", d, len(sub.C()))
+	}
 
-	counts, n := f.Counts()
+	counts, n := reg.Counts()
 	if n != 6 || counts[0] != 1 || counts[1] != 5 {
 		t.Fatalf("mixed merge: counts=%v n=%d", counts, n)
 	}
-	sts := f.Status()
-	if len(sts) != 2 {
-		t.Fatalf("status has %d entries, want 2", len(sts))
-	}
-	if sts[1].Name != "push://pusher" || sts[1].N != 5 || sts[1].Stale {
-		t.Fatalf("pushed member status: %+v", sts[1])
+	if p, q := member(t, reg, "polled"), member(t, reg, "pusher"); p.Kind != Kind || p.N != 1 || p.Evicted ||
+		q.Kind != "node" || q.N != 5 || q.Evicted {
+		t.Fatalf("member status: %+v %+v", p, q)
 	}
 
 	// Registry-only fleets need no sources at all.
-	only, err := New(2, nil, WithRegistry(reg))
+	only, err := New(reg, auth, nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, n := only.Counts(); n != 5 {
-		t.Fatalf("registry-only fleet n = %d, want 5", n)
-	}
-	// But a fleet with neither is still rejected.
-	if _, err := New(2, nil); err == nil {
-		t.Fatal("fleet with no membership accepted")
+	if err := only.Poll(context.Background()); err != nil || !only.Ready() {
+		t.Fatalf("registry-only tick: err=%v ready=%v", err, only.Ready())
 	}
 }
 
-// TestEstimatesMemoizedPerGeneration: Estimates calibrates once per
-// Poll generation and replays the stamped result until the next Poll —
-// the merger-side read cache.
-func TestEstimatesMemoizedPerGeneration(t *testing.T) {
-	src := staticSource{snap: Snapshot{Bits: 3, Counts: []int64{6, 2, 1}, N: 9}}
-	f, err := New(3, []Source{src})
+// TestRestoredMergerServesPolledMembers: a merger restarted on its
+// checkpoint directory serves its polled members' counts — marked
+// evicted — before the first poll of the new process lands; the poll
+// then re-registers them on top, resyncing to the node's current state.
+func TestRestoredMergerServesPolledMembers(t *testing.T) {
+	ckpt := registry.WithCheckpoint(t.TempDir(), time.Hour)
+	first, reg := newFleet(t, 2, []*node{static("node", []int64{3, 4}, 7)}, ckpt)
+	if err := first.Poll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Close(); err != nil { // final checkpoint
+		t.Fatal(err)
+	}
+
+	reg2, restored, err := registry.Restore(2, ckpt)
+	if err != nil || restored != 1 {
+		t.Fatalf("restore: %d members, err %v", restored, err)
+	}
+	defer reg2.Close()
+	f := pollerOf(t, reg2, nil, 0, []*node{static("node", []int64{5, 4}, 9)})
+	sub, err := f.Subscribe(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	est := func(counts []int64, n int) ([]float64, error) {
-		calls++
-		out := make([]float64, len(counts))
-		for i, c := range counts {
-			out[i] = float64(c) / float64(n)
-		}
-		return out, nil
+	if d := <-sub.C(); !d.Resync || d.N != 7 || d.Counts[0] != 3 {
+		t.Fatalf("first frame of the restarted merger %+v, want the restored state", d)
 	}
-	// Pre-poll: no reports, no generation, and nothing cached.
-	if g := f.Generation(); g != 0 {
-		t.Fatalf("generation %d before first poll", g)
-	}
-	if _, err := f.Estimates(est); err == nil {
-		t.Fatal("empty fleet produced estimates")
+	if st := member(t, reg2, "node"); !st.Evicted || st.N != 7 {
+		t.Fatalf("restored member before the first poll: %+v", st)
 	}
 	if err := f.Poll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if g := f.Generation(); g != 1 {
-		t.Fatalf("generation %d after first poll, want 1", g)
+	if st := member(t, reg2, "node"); st.Evicted || st.N != 9 || st.Kind != Kind || st.Resets != 0 {
+		t.Fatalf("restored member after the first poll: %+v", st)
 	}
-	first, err := f.Estimates(est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		again, err := f.Estimates(est)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range first {
-			if again[j] != first[j] {
-				t.Fatalf("memoized estimates diverged at %d", j)
-			}
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("estimator ran %d times within one generation, want 1", calls)
-	}
-	// A new poll is a new generation: exactly one recalibration.
-	if err := f.Poll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Estimates(est); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Estimates(est); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 2 {
-		t.Fatalf("estimator ran %d times across two generations, want 2", calls)
+	if d := <-sub.C(); d.Resync || d.DN != 2 {
+		t.Fatalf("first poll published %+v, want a delta of 2 reports", d)
 	}
 }

@@ -184,16 +184,9 @@ func (h *Handler) SetSLO(report http.Handler) {
 
 // RequireSnapshotAuth gates GET /v1/snapshot behind the fleet-token
 // HMAC (headers X-Idldp-Time and X-Idldp-Mac, optional X-Idldp-Node;
-// see SignSnapshotHeaders). Ingest endpoints stay open — they carry
+// see registry.SignSnapshotHTTP). Ingest endpoints stay open — they carry
 // only perturbed data. Call before the handler starts serving.
 func (h *Handler) RequireSnapshotAuth(a *registry.Authenticator) { h.snapAuth = a }
-
-// SignSnapshotHeaders stamps the snapshot-auth headers a
-// RequireSnapshotAuth handler demands onto an outgoing request
-// (delegates to registry.SignSnapshotHTTP).
-func SignSnapshotHeaders(req *http.Request, a *registry.Authenticator, node string, now time.Time) {
-	registry.SignSnapshotHTTP(req, a, node, now)
-}
 
 // verifySnapshotHeaders checks the auth headers against a (nil = open).
 func verifySnapshotHeaders(r *http.Request, a *registry.Authenticator) error {

@@ -147,7 +147,7 @@ func TestRegistryHTTPAuthRejection(t *testing.T) {
 		t.Fatalf("unauthenticated merger snapshot: %s", resp.Status)
 	}
 	sreq, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/snapshot", nil)
-	SignSnapshotHeaders(sreq, auth, "", time.Now())
+	registry.SignSnapshotHTTP(sreq, auth, "", time.Now())
 	resp, err = http.DefaultClient.Do(sreq)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestNodeSnapshotAuth(t *testing.T) {
 	}
 	// Wrong token.
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/snapshot", nil)
-	SignSnapshotHeaders(req, newAuth(t, "wrong"), "", time.Now())
+	registry.SignSnapshotHTTP(req, newAuth(t, "wrong"), "", time.Now())
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestNodeSnapshotAuth(t *testing.T) {
 	}
 	// Right token.
 	req, _ = http.NewRequest(http.MethodGet, srv.URL+"/v1/snapshot", nil)
-	SignSnapshotHeaders(req, auth, "poller", time.Now())
+	registry.SignSnapshotHTTP(req, auth, "poller", time.Now())
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

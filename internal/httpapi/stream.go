@@ -604,7 +604,7 @@ func NewLive(sub *stream.Sub, bits int, est Estimator, window int) (*LiveHandler
 // so the ring survives restarts, and the mux additionally answers
 // GET /v1/estimates?at/from/to and GET /v1/metrics/history. The stream
 // feeding sub must have been resumed past hist.LastSeq() (see
-// stream.WithResume / fleet.WithStreamStartSeq) so the log's
+// stream.WithResume / the startSeq of fleet.New) so the log's
 // generations never regress. nil hist is plain NewLive. The handler
 // does not own hist; the caller Closes it after the handler.
 func NewLiveWithHistory(sub *stream.Sub, bits int, est Estimator, window int, hist *history.Store) (*LiveHandler, error) {

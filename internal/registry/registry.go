@@ -1,12 +1,16 @@
-// Package registry is the fleet control plane: collector nodes announce
-// themselves to a merger — register, heartbeat, push interval deltas —
-// instead of the merger polling a static node list. It inverts the
-// PR 3 fleet topology without changing its algebra: per-bit counts are
-// order-independent integer sums, so a merger that accumulates each
-// node's pushed cumulative state holds exactly what polling the same
-// nodes would have fetched, while steady-state bandwidth drops from a
-// full snapshot per node per interval to O(changed bits) per interval
-// (sparse varpack deltas, see internal/varpack.PackDelta).
+// Package registry is the fleet control plane and the merger's one
+// membership model: collector nodes announce themselves to a merger —
+// register, heartbeat, push interval deltas — instead of the merger
+// polling a static node list. Per-bit counts are order-independent
+// integer sums, so a merger that accumulates each node's pushed
+// cumulative state holds exactly what polling the same nodes would have
+// fetched, while steady-state bandwidth drops from a full snapshot per
+// node per interval to O(changed bits) per interval (sparse varpack
+// deltas, see internal/varpack.PackDelta). A statically listed node is
+// the same kind of member: internal/fleet fetches its snapshot and
+// announces it here on the node's behalf (kind "poll", a full resync per
+// fetch), so liveness, validation, restart detection, status, metrics
+// and checkpoints exist once.
 //
 // The protocol is deliberately small:
 //
@@ -107,7 +111,7 @@ type RegisterRequest struct {
 	Name string
 	// Bits is the node's domain size; it must match the registry's.
 	Bits int
-	// Kind is informational ("node", "merger", ...), shown in Status.
+	// Kind is informational ("node", "merger", "poll", ...), shown in Status.
 	Kind string
 	// TimeNano and MAC are the auth envelope (see Authenticator).
 	TimeNano int64
@@ -227,6 +231,7 @@ type member struct {
 	registrations int64
 	pushes        int64
 	resyncs       int64
+	resets        int64
 	rejects       int64
 
 	// lastTrace is the representative trace carried on the member's most
@@ -716,6 +721,9 @@ func (r *Registry) applyLocked(m *member, f *PushFrame) error {
 			r.merged[i] += c - m.counts[i]
 		}
 		r.mergedN += f.N - m.n
+		if f.N < m.n {
+			m.resets++
+		}
 		copy(m.counts, counts)
 		m.n = f.N
 		m.packedSize = varpack.PackedSize(m.counts) // O(m), but resyncs are rare
@@ -820,6 +828,9 @@ type MemberStatus struct {
 	LastSeen time.Time
 	// Registrations, Pushes, Resyncs, Rejects count control-plane events.
 	Registrations, Pushes, Resyncs, Rejects int64
+	// Resets counts resyncs that lowered N: the member restarted without
+	// its checkpoint, and the merged counts went backwards with it.
+	Resets int64
 	// DeltaBytes is what the member actually pushed; PollEquivBytes what
 	// full-snapshot polling at the same cadence would have transferred.
 	DeltaBytes, PollEquivBytes int64
@@ -847,6 +858,7 @@ func (r *Registry) Status() []MemberStatus {
 			Pushes:         m.pushes,
 			Resyncs:        m.resyncs,
 			Rejects:        m.rejects,
+			Resets:         m.resets,
 			DeltaBytes:     m.deltaBytes,
 			PollEquivBytes: m.pollEquivBytes,
 			LastTrace:      m.lastTrace,

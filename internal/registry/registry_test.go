@@ -430,3 +430,32 @@ func TestTraceTamperRejected(t *testing.T) {
 		t.Fatalf("member last trace = %q", got)
 	}
 }
+
+// TestResetsCountResyncsThatLowerN: a resync that lowers a member's
+// cumulative n means the member restarted without its checkpoint — for a
+// pushed and a polled member alike. Growing or equal resyncs, rejected
+// frames and re-registrations are not resets.
+func TestResetsCountResyncsThatLowerN(t *testing.T) {
+	r, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	now := time.Now()
+	s := register(t, r, nil, "a", now).Session
+	for seq, n := range []int64{5, 5, 9, 2, 3} {
+		if err := pushResync(t, r, nil, "a", s, uint64(seq+1), []int64{n, 0}, n, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pushResync(t, r, nil, "a", s, 9, []int64{4, 0}, 1, now); err == nil {
+		t.Fatal("count above n accepted")
+	}
+	s = register(t, r, nil, "a", now).Session
+	if err := pushResync(t, r, nil, "a", s, 1, []int64{3, 0}, 3, now); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Status()[0]; st.Resets != 1 || st.Resyncs != 6 || st.N != 3 {
+		t.Fatalf("status %+v, want exactly the 9 -> 2 resync counted as a reset", st)
+	}
+}

@@ -42,28 +42,17 @@ func TestGeometricMoments(t *testing.T) {
 func TestGeometricSkipMoments(t *testing.T) {
 	// Failures before first success: mean (1-p)/p, variance (1-p)/p².
 	for _, p := range []float64{0.01, 0.05, 0.3, 0.7, 0.95} {
-		s := New(23)
-		momentCheck(t, "GeometricSkip", 200000,
-			func() float64 { return float64(s.GeometricSkip(p)) },
+		s, ln1mp := New(23), math.Log1p(-p)
+		momentCheck(t, "GeometricSkipLn", 200000,
+			func() float64 { return float64(s.GeometricSkipLn(ln1mp)) },
 			(1-p)/p, (1-p)/(p*p))
 	}
 }
 
-func TestGeometricSkipLnMatchesGeometricSkip(t *testing.T) {
-	const p = 0.2
-	ln1mp := math.Log1p(-p)
-	a, b := New(5), New(5)
-	for i := 0; i < 10000; i++ {
-		if x, y := a.GeometricSkip(p), b.GeometricSkipLn(ln1mp); x != y {
-			t.Fatalf("draw %d: GeometricSkip %d != GeometricSkipLn %d", i, x, y)
-		}
-	}
-}
-
 func TestGeometricSkipDeterministic(t *testing.T) {
-	a, b := New(99), New(99)
+	a, b, ln1mp := New(99), New(99), math.Log1p(-0.1)
 	for i := 0; i < 1000; i++ {
-		if x, y := a.GeometricSkip(0.1), b.GeometricSkip(0.1); x != y {
+		if x, y := a.GeometricSkipLn(ln1mp), b.GeometricSkipLn(ln1mp); x != y {
 			t.Fatalf("draw %d: same seed diverged (%d vs %d)", i, x, y)
 		}
 	}
@@ -78,36 +67,24 @@ func TestGeometricSkipDeterministic(t *testing.T) {
 
 func TestGeometricSkipEdgeCases(t *testing.T) {
 	s := New(1)
+	// p = 1: ln(1-p) = -Inf, a success at every trial.
 	for i := 0; i < 100; i++ {
-		if k := s.GeometricSkip(1); k != 0 {
-			t.Fatalf("GeometricSkip(1) = %d, want 0", k)
+		if k := s.GeometricSkipLn(math.Log1p(-1)); k != 0 {
+			t.Fatalf("GeometricSkipLn(ln(1-1)) = %d, want 0", k)
 		}
 	}
 	// A success probability at the smallest positive normal must not
 	// overflow position arithmetic in callers.
-	if k := s.GeometricSkip(5e-324); k < 0 || k > maxSkip {
-		t.Fatalf("GeometricSkip(tiny) = %d outside [0, maxSkip]", k)
+	if k := s.GeometricSkipLn(math.Log1p(-5e-324)); k < 0 || k > maxSkip {
+		t.Fatalf("GeometricSkipLn(ln(1-tiny)) = %d outside [0, maxSkip]", k)
 	}
+	// No p in (0, 1] behind the log — p <= 0 gives ln(1-p) >= 0, p > 1
+	// gives NaN: a success never happens, so the cap, not 0 and not
+	// whatever int(NaN) is.
 	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("GeometricSkip(%v) did not panic", p)
-				}
-			}()
-			s.GeometricSkip(p)
-		}()
-	}
-	// Direct GeometricSkipLn with a degenerate log: ln(1-p) >= 0 means
-	// p <= 0, so a success never happens — the cap, not 0.
-	for _, ln := range []float64{0, 0.5} {
-		if k := s.GeometricSkipLn(ln); k != maxSkip {
-			t.Errorf("GeometricSkipLn(%v) = %d, want maxSkip", ln, k)
+		if k := s.GeometricSkipLn(math.Log1p(-p)); k != maxSkip {
+			t.Errorf("GeometricSkipLn(ln(1-%v)) = %d, want maxSkip", p, k)
 		}
-	}
-	// p = 1 from the Ln side: ln1mp = -Inf, success at every trial.
-	if k := s.GeometricSkipLn(math.Inf(-1)); k != 0 {
-		t.Errorf("GeometricSkipLn(-Inf) = %d, want 0", k)
 	}
 }
 

@@ -126,35 +126,28 @@ func (s *Source) Geometric(p float64) int {
 	return k
 }
 
-// maxSkip caps GeometricSkip draws so that position arithmetic in callers
+// maxSkip caps GeometricSkipLn draws so that position arithmetic in callers
 // cannot overflow: any skip this large runs past every real index anyway.
 const maxSkip = math.MaxInt64 / 4
 
-// GeometricSkip returns the number of failures before the first success
-// in i.i.d. Bernoulli(p) trials: P(K=k) = (1-p)^k·p for k >= 0, mean
-// (1-p)/p. It is the gap distribution of skip sampling — instead of one
-// Bernoulli per position, a scan jumps GeometricSkip(p) positions between
-// consecutive successes, visiting only the ~n·p hits. It panics unless p
-// is in (0, 1]. Draws are capped at a value far beyond any real index so
-// callers can add skips to positions without overflow checks.
-func (s *Source) GeometricSkip(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: GeometricSkip requires p in (0, 1]")
-	}
-	return s.GeometricSkipLn(math.Log1p(-p))
-}
-
-// GeometricSkipLn is GeometricSkip with the log already taken: ln1mp must
-// be log1p(-p) = ln(1-p) for the intended success probability p. Hot
-// loops that draw many skips at a fixed p precompute the log once and
-// avoid one transcendental per draw. P(K >= k) = e^{k·ln(1-p)} = (1-p)^k,
-// so floor(E/-ln(1-p)) with E ~ Exp(1) is exactly geometric.
+// GeometricSkipLn returns the number of failures before the first
+// success in i.i.d. Bernoulli(p) trials — P(K=k) = (1-p)^k·p for k >= 0,
+// mean (1-p)/p — given ln1mp = log1p(-p) = ln(1-p). It is the gap
+// distribution of skip sampling: instead of one Bernoulli per position,
+// a scan jumps GeometricSkipLn positions between consecutive successes,
+// visiting only the ~n·p hits. Taking the log instead of p lets hot
+// loops that draw many skips at a fixed p pay the transcendental once.
+// P(K >= k) = e^{k·ln(1-p)} = (1-p)^k, so floor(E/-ln(1-p)) with
+// E ~ Exp(1) is exactly geometric. Draws are capped at a value far
+// beyond any real index so callers can add skips to positions without
+// overflow checks.
 func (s *Source) GeometricSkipLn(ln1mp float64) int {
-	if ln1mp >= 0 {
-		// ln(1-p) >= 0 means p <= 0: a success never happens. Return the
-		// cap so scan loops run off the end of any real index range.
-		// (p = 1 is the other degenerate: ln1mp = -Inf flows through the
-		// division below and yields skip 0, a success at every trial.)
+	if !(ln1mp < 0) {
+		// ln(1-p) >= 0 means p <= 0, NaN means p > 1: a success never
+		// happens. Return the cap so scan loops run off the end of any
+		// real index range. (p = 1 is the other degenerate: ln1mp = -Inf
+		// flows through the division below and yields skip 0, a success
+		// at every trial.)
 		return maxSkip
 	}
 	k := s.r.ExpFloat64() / -ln1mp

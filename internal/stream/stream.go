@@ -215,7 +215,7 @@ func (p *Publisher) resyncFrameLocked() Delta {
 // Publish diffs the cumulative snapshot (counts, n) against the previous
 // one and fans the sparse delta out to subscribers. The publisher takes
 // ownership of counts; callers must pass a fresh slice (Server.Snapshot
-// and Fleet.Counts already do). An interval with no change publishes
+// and Registry.Counts already do). An interval with no change publishes
 // nothing to healthy subscribers but still retries resyncs for lagged
 // ones. A cumulative regression (counts or n going backwards) cannot be
 // represented as a delta and is published as a resync instead — the
