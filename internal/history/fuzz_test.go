@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"idldp/internal/varpack"
 )
@@ -100,8 +101,8 @@ func reseal(data []byte) []byte {
 	return out
 }
 
-// FuzzDecodeRecord: arbitrary bytes never panic the record decoder, a
-// declared length never sizes an allocation the input cannot back, and
+// FuzzDecodeRecord: arbitrary bytes never panic the record decoder, the
+// payload it hands back is never more than the input it aliases, and
 // whatever decodes re-encodes to the very bytes it was read from.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, s := range seedRecords() {
@@ -128,7 +129,8 @@ func FuzzDecodeRecord(f *testing.F) {
 
 // FuzzLoadSegment: arbitrary bytes load as a self-consistent segment or
 // not at all; whatever follows the last valid record is reported torn
-// and changes nothing; memory held stays a small multiple of the input.
+// and changes nothing; beyond the input itself, which the payloads
+// alias, a loaded segment holds its anchors and one struct per record.
 func FuzzLoadSegment(f *testing.F) {
 	for _, s := range seedSegments() {
 		f.Add(s.data)
@@ -188,38 +190,48 @@ func checkLoaded(t *testing.T, in []byte, sg *segment, torn bool) {
 		t.Fatalf("base/final widths %d/%d", len(sg.base), len(sg.final))
 	}
 	sum, seq, n := slices.Clone(sg.base), sg.baseSeq, sg.baseN
-	held := 8 * (cap(sg.base) + cap(sg.final))
+	payloads := 0
 	for _, r := range sg.deltas {
-		if r.seq <= seq || n+r.dn != r.n || len(r.bits) != len(r.inc) {
+		if r.seq <= seq || n+r.dn != r.n {
 			t.Fatalf("record seq %d n %d dn %d after seq %d n %d", r.seq, r.n, r.dn, seq, n)
 		}
 		seq, n = r.seq, r.n
-		for j, i := range r.bits {
+		// The reference decode: what the loader accepted must be what
+		// UnpackDelta reads, inside the domain.
+		bits, inc, err := varpack.UnpackDelta(r.payload)
+		if err != nil {
+			t.Fatalf("record seq %d holds a payload UnpackDelta refuses: %v", r.seq, err)
+		}
+		for j, i := range bits {
 			if i < 0 || i >= testBits {
 				t.Fatalf("record seq %d touches bit %d", r.seq, i)
 			}
-			sum[i] += r.inc[j]
+			sum[i] += inc[j]
 		}
-		held += 16 * cap(r.bits)
+		payloads += cap(r.payload)
 	}
 	for _, r := range sg.tel {
-		held += cap(r.payload)
+		payloads += cap(r.payload)
 	}
 	if seq != sg.lastSeq || n != sg.lastN || !slices.Equal(sum, sg.final) {
 		t.Fatalf("final %v at %d/%d, records sum to %v at %d/%d", sg.final, sg.lastSeq, sg.lastN, sum, seq, n)
 	}
-	if held > 16*len(in)+1024 {
-		t.Fatalf("%d input bytes left the loader holding %d", len(in), held)
+	anchors := int64(8 * (cap(sg.base) + cap(sg.final)))
+	if anchors != anchorBytes(testBits) || sg.held != anchors+int64(payloads) {
+		t.Fatalf("segment accounts %d held bytes, holds %d of anchors and %d of payloads", sg.held, anchors, payloads)
+	}
+	if structs := int(unsafe.Sizeof(record{})) * (len(sg.deltas) + len(sg.tel)); payloads+structs > 2*len(in) {
+		t.Fatalf("%d input bytes left the loader holding %d of payloads and %d of records beside the anchors", len(in), payloads, structs)
 	}
 }
 
+func sameRecord(p, q record) bool {
+	return p.kind == q.kind && p.seq == q.seq && p.time == q.time && p.n == q.n && p.dn == q.dn &&
+		bytes.Equal(p.payload, q.payload)
+}
+
 func sameSegment(a, b *segment) bool {
-	sameRecs := func(x, y []record) bool {
-		return slices.EqualFunc(x, y, func(p, q record) bool {
-			return p.kind == q.kind && p.seq == q.seq && p.time == q.time && p.n == q.n && p.dn == q.dn &&
-				slices.Equal(p.bits, q.bits) && slices.Equal(p.inc, q.inc) && bytes.Equal(p.payload, q.payload)
-		})
-	}
+	sameRecs := func(x, y []record) bool { return slices.EqualFunc(x, y, sameRecord) }
 	return b != nil && a.baseSeq == b.baseSeq && a.baseN == b.baseN && a.lastSeq == b.lastSeq && a.lastN == b.lastN &&
 		a.bytes == b.bytes && slices.Equal(a.base, b.base) && slices.Equal(a.final, b.final) &&
 		sameRecs(a.deltas, b.deltas) && sameRecs(a.tel, b.tel)

@@ -35,6 +35,22 @@
 // in-flight replays pin the store (Acquire) so GC never deletes a
 // segment still covered by an open query.
 //
+// Memory: what the store holds is what the disk holds. An interval
+// record in memory is its frame's header fields plus the varpack sparse
+// payload, byte for byte as written — not a decoded (bits, increments)
+// pair, which at 16 bytes per touched bit is several times the payload
+// once every report sets a quarter of the bits and a delta of a few
+// dozen reports touches nearly all of them. A segment adds its two
+// anchors (base and final, 8·m bytes each). The payloads of a loaded
+// segment are sub-slices of the one file image read at Open, so a
+// segment costs its file plus the anchors and nothing per record but a
+// slice header; a live Append allocates the frame once, writes it, and
+// keeps its payload bytes as the record. Nothing caches a decoded delta:
+// a reconstruction decodes the records it folds while it folds them
+// (varpack.FoldDelta, allocation-free), and a payload is checked against
+// the domain once, when it enters the store. Stats.ResidentBytes is the
+// running total, beside Stats.Bytes for the disk.
+//
 // Reads: what is under the lock and what is not. Store.mu is the mutex
 // Append holds across its write and fsync, so a read keeps it only long
 // enough to capture a view and reconstructs outside it. A segment keeps
@@ -45,7 +61,8 @@
 // append; base and the final of a sealed segment never change, and the
 // newest segment's final is copied, not shared. Under the lock a read
 // does: binary search for the segment and the cut, copy of one anchor
-// (8·m bytes), copy of slice headers. Outside it: every per-record fold.
+// (8·m bytes), copy of slice headers. Outside it: every per-record fold,
+// decode included.
 //
 // The anchor rule: the state at a generation is base plus the records up
 // to it, and equally final minus the records after it (integer sums, so
@@ -138,18 +155,19 @@ type Config struct {
 	NoSync bool
 }
 
-// record is one decoded log record held in memory. Interval records
-// keep the sparse delta; telemetry records keep the packed snapshot.
-// Records are immutable once appended.
+// record is one log record held in memory: the frame's header fields
+// and its payload bytes exactly as the segment file holds them — the
+// varpack sparse delta of an interval record (checked against the domain
+// when it entered the store, decoded only while a read folds it), the
+// packed snapshot of a telemetry record. Records are immutable once
+// appended.
 type record struct {
 	kind    uint16
 	seq     uint64
 	time    int64 // UnixNano
 	n       int64 // cumulative report count after the record (deltas)
 	dn      int64
-	bits    []int
-	inc     []int64
-	payload []byte // telemetry snapshot bytes (kindTelemetry only)
+	payload []byte
 }
 
 // segment is one log file: a base (full cumulative state at the
@@ -162,7 +180,8 @@ type segment struct {
 	base    []int64
 	deltas  []record // interval records, seq strictly ascending
 	tel     []record // telemetry records, append order
-	bytes   int64
+	bytes   int64    // on disk
+	held    int64    // in memory: both anchors plus every record's payload
 
 	// lastSeq/lastN/final are the cumulative state after the newest
 	// interval record — what the next segment's base must equal.
@@ -196,11 +215,15 @@ type Store struct {
 	records    int64
 	telRecords int64
 	bytes      int64
+	held       int64
 
-	appends    int64
-	telAppends int64
-	queries    int64
-	dropped    int64
+	appends      int64
+	telAppends   int64
+	appendErrors int64
+	queries      int64
+	refused      int64 // frames whose seq did not advance
+	tornTails    int64 // set in Open
+	chainBreaks  int64 // set in Open
 
 	closed bool
 }
@@ -234,7 +257,7 @@ func Open(dir string, bits int, cfg Config) (*Store, error) {
 	for _, idx := range idxs {
 		sg, torn := loadSegment(filepath.Join(dir, segFileName(idx)), idx, bits)
 		if torn {
-			s.dropped++
+			s.tornTails++
 		}
 		if sg == nil {
 			// Unreadable segment: the chain through it is broken, so
@@ -251,7 +274,7 @@ func Open(dir string, bits int, cfg Config) (*Store, error) {
 				// prev lost tail records this segment's base already
 				// includes; keeping both would mis-sum the gap. The newer
 				// base is authoritative — restart the chain at it.
-				s.dropped++
+				s.chainBreaks++
 				s.segs = s.segs[:0]
 			}
 		}
@@ -298,7 +321,18 @@ func (s *Store) State() (counts []int64, n int64, seq uint64) {
 // store's shadow (exactly as stream.Window does), so the log always
 // holds intervals; empty frames advance the generation without writing
 // a record. Frames whose seq does not advance are refused — the caller
-// must resume the publisher from State() after a restart.
+// must resume the publisher from State() after a restart. The frame's
+// slices are not retained.
+//
+// A write or sync error fails this append only: the segment is sealed
+// at its last acknowledged record and the next append rotates onto a
+// fresh base, so one bad write neither blocks the log nor hides later
+// records behind half a frame; retention moves only when an append
+// lands, so a disk that keeps failing costs the appends it fails and
+// nothing already retained. What is not healed is the interval
+// itself — the store did not absorb it, so the log stays one interval
+// short of the live stream until the next resync frame is folded
+// against the shadow.
 func (s *Store) Append(d stream.Delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -306,7 +340,7 @@ func (s *Store) Append(d stream.Delta) error {
 		return errors.New("history: store closed")
 	}
 	if d.Seq <= s.lastSeq {
-		s.dropped++
+		s.refused++
 		return fmt.Errorf("history: frame seq %d does not advance past %d", d.Seq, s.lastSeq)
 	}
 	var bits []int
@@ -347,15 +381,14 @@ func (s *Store) Append(d stream.Delta) error {
 		at = time.Now()
 	}
 	rec := record{
-		kind: kindDelta,
-		seq:  d.Seq,
-		time: at.UnixNano(),
-		n:    s.shadowN + dn,
-		dn:   dn,
-		bits: bits,
-		inc:  inc,
+		kind:    kindDelta,
+		seq:     d.Seq,
+		time:    at.UnixNano(),
+		n:       s.shadowN + dn,
+		dn:      dn,
+		payload: payload,
 	}
-	if err := s.appendRecordLocked(rec, payload); err != nil {
+	if err := s.appendRecordLocked(rec); err != nil {
 		return err
 	}
 	for j, i := range bits {
@@ -382,13 +415,8 @@ func (s *Store) AppendTelemetry(seq uint64, at time.Time, packed []byte) error {
 	if at.IsZero() {
 		at = time.Now()
 	}
-	rec := record{
-		kind:    kindTelemetry,
-		seq:     seq,
-		time:    at.UnixNano(),
-		payload: append([]byte(nil), packed...),
-	}
-	if err := s.appendRecordLocked(rec, rec.payload); err != nil {
+	rec := record{kind: kindTelemetry, seq: seq, time: at.UnixNano(), payload: packed}
+	if err := s.appendRecordLocked(rec); err != nil {
 		return err
 	}
 	s.telAppends++
@@ -396,8 +424,10 @@ func (s *Store) AppendTelemetry(seq uint64, at time.Time, packed []byte) error {
 }
 
 // appendRecordLocked rotates to a fresh segment when needed, writes the
-// framed record, and mirrors it in memory. Caller holds s.mu.
-func (s *Store) appendRecordLocked(rec record, payload []byte) error {
+// framed record, and mirrors it in memory: the frame is the one
+// exact-size allocation per record, and the mirror's payload is the
+// frame's own payload bytes, not the caller's. Caller holds s.mu.
+func (s *Store) appendRecordLocked(rec record) error {
 	rotate := s.cur == nil || len(s.segs) == 0
 	if !rotate {
 		sg := s.segs[len(s.segs)-1]
@@ -405,19 +435,37 @@ func (s *Store) appendRecordLocked(rec record, payload []byte) error {
 	}
 	if rotate {
 		if err := s.rotateLocked(); err != nil {
+			s.appendErrors++
 			return err
 		}
 	}
-	frame := encodeRecord(rec.kind, rec.seq, rec.time, rec.n, rec.dn, payload)
-	if _, err := s.cur.Write(frame); err != nil {
+	sg := s.segs[len(s.segs)-1]
+	frame := encodeRecord(rec.kind, rec.seq, rec.time, rec.n, rec.dn, rec.payload)
+	_, err := s.cur.Write(frame)
+	if err == nil && !s.cfg.NoSync {
+		err = s.cur.Sync()
+	}
+	if err != nil {
+		// The handle may be dead (EIO, EBADF) or the file may now end in
+		// half a frame (ENOSPC): seal it either way and let the next append
+		// rotate. A segment this call started has acknowledged nothing and
+		// is taken back whole, so a streak of failures leaves no files
+		// behind; any other is cut back to its last acknowledged record
+		// where the disk still allows. Where it does not, load treats the
+		// leftover as a torn tail or a chain break — never mis-summed.
+		s.appendErrors++
+		_ = s.cur.Close()
+		s.cur = nil
+		if len(sg.deltas)+len(sg.tel) == 0 && os.Remove(sg.path) == nil {
+			s.retainLocked(sg, -1)
+			s.segs = s.segs[:len(s.segs)-1]
+		} else {
+			_ = os.Truncate(sg.path, sg.bytes)
+		}
 		return fmt.Errorf("history: %w", err)
 	}
-	if !s.cfg.NoSync {
-		if err := s.cur.Sync(); err != nil {
-			return fmt.Errorf("history: %w", err)
-		}
-	}
-	sg := s.segs[len(s.segs)-1]
+	end := recHeaderSize + len(rec.payload)
+	rec.payload = frame[recHeaderSize:end:end]
 	if rec.kind == kindDelta {
 		sg.deltas = append(sg.deltas, rec)
 		s.records++
@@ -427,6 +475,11 @@ func (s *Store) appendRecordLocked(rec record, payload []byte) error {
 	}
 	sg.bytes += int64(len(frame))
 	s.bytes += int64(len(frame))
+	sg.held += int64(len(rec.payload))
+	s.held += int64(len(rec.payload))
+	if rotate {
+		s.pruneLocked()
+	}
 	return nil
 }
 
@@ -436,10 +489,14 @@ func (s *Store) retainLocked(sg *segment, sign int64) {
 	s.records += sign * int64(len(sg.deltas))
 	s.telRecords += sign * int64(len(sg.tel))
 	s.bytes += sign * sg.bytes
+	s.held += sign * sg.held
 }
 
 // rotateLocked seals the open segment and starts the next one with a
-// base record of the current cumulative state, then prunes.
+// base record of the current cumulative state. It prunes nothing: an
+// older segment makes way only once the record that caused the rotation
+// has landed (appendRecordLocked), so appends that keep failing cannot
+// push retained history out.
 func (s *Store) rotateLocked() error {
 	if s.cur != nil {
 		_ = s.cur.Sync()
@@ -456,7 +513,8 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("history: %w", err)
 	}
 	base := encodeRecord(kindBase, s.lastSeq, time.Now().UnixNano(), s.shadowN, 0, varpack.Pack(s.shadow))
-	if _, err := f.Write(base); err == nil && !s.cfg.NoSync {
+	_, err = f.Write(base)
+	if err == nil && !s.cfg.NoSync {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -472,12 +530,13 @@ func (s *Store) rotateLocked() error {
 		baseN:   s.shadowN,
 		base:    append([]int64(nil), s.shadow...),
 		bytes:   int64(len(base)),
+		held:    anchorBytes(s.bits),
 		lastSeq: s.lastSeq,
 		lastN:   s.shadowN,
 		final:   append([]int64(nil), s.shadow...),
 	})
 	s.bytes += int64(len(base))
-	s.pruneLocked()
+	s.held += anchorBytes(s.bits)
 	return nil
 }
 
@@ -608,6 +667,12 @@ type view struct {
 // locateLocked's.
 func (s *Store) viewLocked(at uint64) view {
 	sg, cut := s.locateLocked(at)
+	return sg.view(cut)
+}
+
+// view captures the state after the segment's first cut interval
+// records, from whichever anchor is nearer. Caller holds s.mu.
+func (sg *segment) view(cut int) view {
 	v := view{}
 	v.seq, v.n = sg.answered(cut)
 	if after := len(sg.deltas) - cut; after < cut {
@@ -632,12 +697,17 @@ func (v view) reconstruct() []int64 {
 }
 
 // foldInto adds (sign 1) or subtracts (sign -1) one interval record's
-// increments.
+// increments, decoding them from the payload as it goes. Every payload
+// a store holds passed CheckDelta (load) or came out of PackDelta
+// (append) for this domain, so a refusal here is a bug, not bad input.
 func (r *record) foldInto(counts []int64, sign int64) {
-	for j, i := range r.bits {
-		counts[i] += sign * r.inc[j]
+	if err := varpack.FoldDelta(r.payload, counts, sign); err != nil {
+		panic(fmt.Sprintf("history: record %d no longer decodes: %v", r.seq, err))
 	}
 }
+
+// anchorBytes is what a segment's base and final hold in memory.
+func anchorBytes(bits int) int64 { return 2 * 8 * int64(bits) }
 
 // CumulativeAt reconstructs the cumulative counts and report total as
 // of generation at (clamping down to the newest recorded generation
@@ -811,11 +881,14 @@ func (s *Store) SeqAtTime(t time.Time) (seq uint64, ok bool) {
 	return 0, false
 }
 
-// Replay streams the retained history as stream.Delta frames — one
-// resync carrying the oldest base, then every interval record in order
-// — so a restarted consumer rebuilds its stream.Window ring exactly as
-// the live feed would have. The store is pinned for the duration.
-func (s *Store) Replay(fn func(stream.Delta) error) error {
+// Replay streams the newest window interval records as stream.Delta
+// frames, after one resync carrying the cumulative state they follow
+// (the oldest base when fewer are retained) — so a restarted consumer
+// rebuilds a stream.Window ring of that capacity exactly as the live
+// feed left it, at a cost that follows the ring, not retention. The
+// frames' slices are fresh and the consumer's to keep. The store is
+// pinned for the duration.
+func (s *Store) Replay(window int, fn func(stream.Delta) error) error {
 	release := s.Acquire()
 	defer release()
 	s.mu.Lock()
@@ -823,25 +896,32 @@ func (s *Store) Replay(fn func(stream.Delta) error) error {
 		s.mu.Unlock()
 		return nil
 	}
-	base := s.segs[0]
-	resync := stream.Delta{
-		Seq:    base.baseSeq,
-		Time:   time.Unix(0, 0),
-		Resync: true,
-		Counts: append([]int64(nil), base.base...),
-		N:      base.baseN,
+	// Walk back from the newest segment to the one holding the window's
+	// oldest record.
+	first, need := len(s.segs)-1, max(window, 0)
+	for first > 0 && len(s.segs[first].deltas) < need {
+		need -= len(s.segs[first].deltas)
+		first--
 	}
-	parts := make([][]record, len(s.segs))
-	for i, sg := range s.segs {
-		parts[i] = sg.deltas
+	oldest := s.segs[first]
+	cut := max(len(oldest.deltas)-need, 0)
+	v := oldest.view(cut)
+	parts := [][]record{oldest.deltas[cut:]}
+	for _, sg := range s.segs[first+1:] {
+		parts = append(parts, sg.deltas)
 	}
 	s.mu.Unlock()
+	resync := stream.Delta{Seq: v.seq, Time: time.Unix(0, 0), Resync: true, Counts: v.reconstruct(), N: v.n}
 	if err := fn(resync); err != nil {
 		return err
 	}
 	for _, recs := range parts {
 		for _, r := range recs {
-			d := stream.Delta{Seq: r.seq, Time: time.Unix(0, r.time), Bits: r.bits, Inc: r.inc, DN: r.dn, N: r.n}
+			bits, inc, err := varpack.UnpackDelta(r.payload)
+			if err != nil {
+				return fmt.Errorf("history: record %d: %w", r.seq, err)
+			}
+			d := stream.Delta{Seq: r.seq, Time: time.Unix(0, r.time), Bits: bits, Inc: inc, DN: r.dn, N: r.n}
 			if err := fn(d); err != nil {
 				return err
 			}
@@ -897,13 +977,24 @@ type Stats struct {
 	// newest absorbed one.
 	OldestSeq uint64 `json:"oldest_seq"`
 	NewestSeq uint64 `json:"newest_seq"`
-	// Appends and TelemetryAppends count records written this process;
-	// Queries counts range/at/replay reads served from the store;
-	// Dropped counts refused frames and discarded corrupt tails.
+	// ResidentBytes is what the retained log holds in memory: every
+	// record's payload plus each segment's two anchors (16·m bytes) — so
+	// it follows Bytes, less the framing.
+	ResidentBytes int64 `json:"resident_bytes"`
+	// Appends and TelemetryAppends count records written this process,
+	// AppendErrors the appends a write or sync error failed;
+	// Queries counts range/at/replay reads served from the store.
 	Appends          int64 `json:"appends"`
 	TelemetryAppends int64 `json:"telemetry_appends"`
+	AppendErrors     int64 `json:"append_errors"`
 	Queries          int64 `json:"replay_hits"`
-	Dropped          int64 `json:"dropped"`
+	// TornTails counts segments Open cut short at a torn or corrupt
+	// record, ChainBreaks the times it discarded everything older than a
+	// base its predecessor did not lead to; Dropped is their sum plus the
+	// frames Append refused for not advancing the generation.
+	TornTails   int64 `json:"torn_tails"`
+	ChainBreaks int64 `json:"chain_breaks"`
+	Dropped     int64 `json:"dropped"`
 }
 
 // Stats returns the current counters.
@@ -917,10 +1008,14 @@ func (s *Store) Stats() Stats {
 		TelemetryRecords: s.telRecords,
 		OldestSeq:        s.oldestLocked(),
 		NewestSeq:        s.lastSeq,
+		ResidentBytes:    s.held,
 		Appends:          s.appends,
 		TelemetryAppends: s.telAppends,
+		AppendErrors:     s.appendErrors,
 		Queries:          s.queries,
-		Dropped:          s.dropped,
+		TornTails:        s.tornTails,
+		ChainBreaks:      s.chainBreaks,
+		Dropped:          s.refused + s.tornTails + s.chainBreaks,
 	}
 }
 
@@ -989,9 +1084,9 @@ func decodeRecord(data []byte) (record, int, error) {
 		n:    int64(binary.LittleEndian.Uint64(data[24:])),
 		dn:   int64(binary.LittleEndian.Uint64(data[32:])),
 	}
-	// Copy the payload out so retained records do not pin the whole
-	// file buffer.
-	r.payload = append([]byte(nil), body[recHeaderSize:]...)
+	// The payload aliases data: a loaded segment's records keep its file
+	// image alive and hold nothing else.
+	r.payload = body[recHeaderSize:len(body):len(body)]
 	return r, total, nil
 }
 
@@ -1030,6 +1125,7 @@ func parseSegment(data []byte, path string, index uint64, bits int) (sg *segment
 				baseN:   r.n,
 				base:    base,
 				bytes:   int64(consumed),
+				held:    anchorBytes(bits),
 				lastSeq: r.seq,
 				lastN:   r.n,
 				final:   append([]int64(nil), base...),
@@ -1039,26 +1135,13 @@ func parseSegment(data []byte, path string, index uint64, bits int) (sg *segment
 		}
 		switch r.kind {
 		case kindDelta:
-			b, inc, err := varpack.UnpackDelta(r.payload)
-			if err != nil {
+			if r.seq <= sg.lastSeq || sg.lastN+r.dn != r.n || varpack.CheckDelta(r.payload, bits) != nil {
+				// A frame that contradicts the running state or does not
+				// decode over this domain is corrupt even if its CRC
+				// passed; stop here, before any of it lands in final.
 				return sg, true
 			}
-			bad := false
-			for _, i := range b {
-				if i < 0 || i >= bits {
-					bad = true
-					break
-				}
-			}
-			if bad || r.seq <= sg.lastSeq || sg.lastN+r.dn != r.n {
-				// A frame that contradicts the running state is corrupt
-				// even if its CRC passed; stop here rather than mis-sum.
-				return sg, true
-			}
-			r.bits, r.inc, r.payload = b, inc, nil
-			for j, i := range b {
-				sg.final[i] += inc[j]
-			}
+			r.foldInto(sg.final, 1)
 			sg.lastSeq, sg.lastN = r.seq, r.n
 			sg.deltas = append(sg.deltas, r)
 		case kindTelemetry:
@@ -1068,6 +1151,7 @@ func parseSegment(data []byte, path string, index uint64, bits int) (sg *segment
 			return sg, true
 		}
 		sg.bytes += int64(consumed)
+		sg.held += int64(len(r.payload))
 		off += consumed
 	}
 	return sg, torn

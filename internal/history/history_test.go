@@ -75,7 +75,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWindow: %v", err)
 	}
-	if err := s2.Replay(win.Push); err != nil {
+	if err := s2.Replay(win.Cap(), win.Push); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	_, _, counts, n, seq := win.View()
@@ -461,5 +461,110 @@ func TestClosedStoreRefusesAppends(t *testing.T) {
 	wantState(t, s2, []int64{1, 0, 0, 0, 0, 0, 0, 0}, 1, 1)
 	if _, err := os.Stat(newestSegment(t, dir)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedAppendSealsTheSegment: a write error fails that append only.
+// The open handle is swapped for one the kernel refuses writes on, behind
+// half a frame such as a short write leaves; the next append must land in
+// a fresh segment, and a reopen must return every acknowledged record
+// with nothing torn in between.
+func TestFailedAppendSealsTheSegment(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Config{})
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := s.Append(delta(seq, 1, int64(seq), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := newestSegment(t, dir)
+	half := encodeRecord(kindDelta, 3, 0, 3, 1, mustPackDelta([]int{3}, []int64{1}))
+	s.mu.Lock()
+	_, err := s.cur.Write(half[:len(half)/2])
+	s.cur.Close()
+	readOnly, openErr := os.Open(path)
+	s.cur = readOnly
+	s.mu.Unlock()
+	if err != nil || openErr != nil {
+		t.Fatal(err, openErr)
+	}
+
+	if err := s.Append(delta(3, 1, 3, 1)); err == nil {
+		t.Fatal("append through a read-only handle succeeded")
+	}
+	wantState(t, s, []int64{0, 1, 1, 0, 0, 0, 0, 0}, 2, 2)
+	if st := s.Stats(); st.AppendErrors != 1 || st.Segments != 1 || st.Records != 2 {
+		t.Fatalf("after the failed append: %+v", st)
+	}
+	if err := s.Append(delta(4, 1, 4, 1)); err != nil {
+		t.Fatalf("append after a failed one: %v", err)
+	}
+	if st := s.Stats(); st.AppendErrors != 1 || st.Segments != 2 || st.Records != 3 {
+		t.Fatalf("after the next append: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTest(t, dir, Config{})
+	defer s2.Close()
+	wantState(t, s2, []int64{0, 1, 1, 0, 1, 0, 0, 0}, 3, 4)
+	if st := s2.Stats(); st.Dropped != 0 || st.Records != 3 || st.OldestSeq != 0 {
+		t.Fatalf("reopened: %+v", st)
+	}
+	if counts, n, seq, err := s2.CumulativeAt(3); err != nil || seq != 2 || n != 2 || counts[2] != 1 || counts[4] != 0 {
+		t.Fatalf("CumulativeAt(3) = %v, %d, %d, %v; want generation 2", counts, n, seq, err)
+	}
+}
+
+// TestReplayFollowsTheWindow: whatever the ring's capacity, Replay leaves
+// it as the live feed would have, and hands it no more frames than it
+// can hold plus the resync they follow.
+func TestReplayFollowsTheWindow(t *testing.T) {
+	s := openTest(t, t.TempDir(), Config{SegmentRecords: 4})
+	defer s.Close()
+	var frames []stream.Delta
+	for seq := uint64(1); seq <= 23; seq++ {
+		if seq%7 == 0 {
+			continue // a quiet generation
+		}
+		lo, hi := int64(seq%testBits), int64((seq+3)%testBits)
+		d := delta(seq, int64(1+seq%3), min(lo, hi), int64(seq), max(lo, hi), 1)
+		frames = append(frames, d)
+		if err := s.Append(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, capacity := range []int{1, 3, 4, 5, 9, len(frames) - 1, len(frames), len(frames) + 1, 64} {
+		live, err1 := stream.NewWindow(testBits, capacity)
+		replayed, err2 := stream.NewWindow(testBits, capacity)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		for _, d := range frames {
+			if err := live.Push(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pushed := 0
+		if err := s.Replay(capacity, func(d stream.Delta) error { pushed++; return replayed.Push(d) }); err != nil {
+			t.Fatalf("Replay(%d): %v", capacity, err)
+		}
+		if pushed > min(capacity, len(frames))+1 {
+			t.Errorf("Replay(%d) pushed %d frames of %d retained", capacity, pushed, len(frames))
+		}
+		wc, wn, c, n, seq := live.View()
+		gwc, gwn, gc, gn, gseq := replayed.View()
+		if !equalCounts(gwc, wc) || gwn != wn || !equalCounts(gc, c) || gn != n || gseq != seq || replayed.Len() != live.Len() {
+			t.Fatalf("capacity %d: replayed window %v/%d over %d intervals, cumulative %v/%d at %d; live %v/%d over %d, %v/%d at %d",
+				capacity, gwc, gwn, replayed.Len(), gc, gn, gseq, wc, wn, live.Len(), c, n, seq)
+		}
+		for k := 0; k <= capacity; k++ {
+			want, wantN, _ := live.LastCounts(k)
+			got, gotN, _ := replayed.LastCounts(k)
+			if !equalCounts(got, want) || gotN != wantN {
+				t.Fatalf("capacity %d: last %d intervals %v/%d, live %v/%d", capacity, k, got, gotN, want, wantN)
+			}
+		}
 	}
 }

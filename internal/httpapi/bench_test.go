@@ -135,11 +135,15 @@ func BenchmarkEstimatesRead(b *testing.B) {
 // BenchmarkTimeTravelRead times GET /v1/estimates?at and ?from&to
 // through ServeHTTP over a node_reads-shaped log (m = 1024, 128-record
 // segments, 2,048 dense generations): a miss reconstructs, calibrates
-// and marshals, a hit copies a cached body. It asserts the two floors
-// the time-travel read path is built on — a cached ?at at least 5× a
-// reconstructed one, and Store.CumulativeAt in the second half of a
-// segment (where it subtracts back from the segment's final) at least
-// 1.5× the forward-only walk from the base kept below as the reference.
+// and marshals, a hit copies a cached body. It asserts the floors the
+// time-travel read path is built on — a cached ?at at least 5× a
+// reconstructed one, Store.CumulativeAt in the second half of a segment
+// (where it subtracts back from the segment's final) at least 1.5× the
+// forward-only walk from the base kept below as the reference, and, now
+// that the store folds records from their packed bytes, CumulativeAt in
+// the middle of a segment (64 records either way, the most it ever
+// folds) at most 2.2× that walk, which folds deltas kept decoded — and
+// reports what a generation costs the store in memory.
 func BenchmarkTimeTravelRead(b *testing.B) {
 	const bits, segment, generations, span = 1024, 128, 2048, 64
 	hist, err := history.Open(b.TempDir(), bits, history.Config{SegmentRecords: segment, KeepSegments: 4 * generations / segment, NoSync: true})
@@ -226,6 +230,7 @@ func BenchmarkTimeTravelRead(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				get(bench.url(i))
 			}
+			b.ReportMetric(float64(hist.Stats().ResidentBytes)/generations, "resident-B/gen")
 		})
 	}
 
@@ -275,5 +280,23 @@ func BenchmarkTimeTravelRead(b *testing.B) {
 	})
 	if ratio := float64(forward) / float64(nearer); ratio < 1.5 {
 		b.Fatalf("CumulativeAt late in a segment is %.1f× the forward walk (%v vs %v per %d), want ≥ 1.5×", ratio, nearer, forward, batch)
+	}
+	// Targets in the middle of their segment: both sides fold segment/2
+	// records onto the same base, one from packed bytes, one from slices.
+	mid := func(i int) int { return (i*7%(generations/segment))*segment + segment/2 }
+	decoded := best(func() {
+		for i := 0; i < batch; i++ {
+			forwardWalk(mid(i))
+		}
+	})
+	packed := best(func() {
+		for i := 0; i < batch; i++ {
+			_, _, _, _ = hist.CumulativeAt(uint64(mid(i)))
+		}
+	})
+	ratio := float64(packed) / float64(decoded)
+	b.Logf("CumulativeAt mid-segment costs %.2f× the same fold over decoded deltas (%v vs %v per %d)", ratio, packed, decoded, batch)
+	if ratio > 2.2 {
+		b.Fatalf("CumulativeAt mid-segment costs %.2f× the same fold over decoded deltas, want ≤ 2.2×", ratio)
 	}
 }

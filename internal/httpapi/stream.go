@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"sync"
@@ -131,10 +132,18 @@ func (ls *liveState) registerMetrics(reg *telemetry.Registry) {
 			func() float64 { return float64(ls.hist.Stats().Segments) })
 		reg.GaugeFunc("history_bytes", "On-disk bytes of the retained history log.",
 			func() float64 { return float64(ls.hist.Stats().Bytes) })
+		reg.GaugeFunc("history_resident_bytes", "In-memory bytes of the retained history log: record payloads plus segment anchors.",
+			func() float64 { return float64(ls.hist.Stats().ResidentBytes) })
 		reg.GaugeFunc("history_oldest_generation", "Oldest generation the history log can still answer for.",
 			func() float64 { return float64(ls.hist.Stats().OldestSeq) })
 		reg.CounterFunc("history_replay_hits", "Range, at and replay queries served from the history log.",
 			func() int64 { return ls.hist.Stats().Queries })
+		reg.CounterFunc("history_append_errors", "History appends failed by a write or sync error; each leaves the log one interval short until a resync.",
+			func() int64 { return ls.hist.Stats().AppendErrors })
+		reg.CounterFunc("history_torn_tail", "Segments the history log cut short at a torn or corrupt record when it was opened.",
+			func() int64 { return ls.hist.Stats().TornTails })
+		reg.CounterFunc("history_chain_break", "Times opening the history log discarded everything older than a base its predecessor did not lead to.",
+			func() int64 { return ls.hist.Stats().ChainBreaks })
 	}
 }
 
@@ -187,7 +196,7 @@ func NewSinkStreaming(sink *server.Server, est Estimator, cfg StreamConfig) (*Ha
 	// subscription's initial resync equals the replayed state and folds
 	// into an empty implied delta).
 	if cfg.History != nil {
-		if err := cfg.History.Replay(func(d stream.Delta) error { return win.Push(d) }); err != nil {
+		if err := cfg.History.Replay(window, win.Push); err != nil {
 			sink.Close()
 			return nil, fmt.Errorf("httpapi: history replay: %w", err)
 		}
@@ -238,14 +247,22 @@ func (h *Handler) flushLoop(interval time.Duration) {
 // pre-marshaled SSE payload. All calibration for the generation happens
 // here, under ls.mu, before any reader can observe the new seq.
 func (ls *liveState) consume(sub *stream.Sub) {
+	histFailing := false // inside a streak of failed appends, logged at its first
 	for d := range sub.C() {
 		// Spill the frame to the durable log BEFORE the window absorbs
 		// it: once a reader can observe generation d.Seq live, the
 		// time-travel answer for at=d.Seq already exists. Non-advancing
 		// frames (the initial resync of a resumed stream) are refused by
-		// the store — by design, they carry nothing the log lacks.
+		// the store — by design, they carry nothing the log lacks; an
+		// advancing frame the store could not write is a hole in the log
+		// (see history.Store.Append) and is said so, once per streak.
 		if ls.hist != nil {
-			_ = ls.hist.Append(d)
+			if err := ls.hist.Append(d); err == nil {
+				histFailing = false
+			} else if d.Seq > ls.hist.LastSeq() && !histFailing {
+				histFailing = true
+				slog.Error("history append failed: the log misses intervals until the next resync frame", "generation", d.Seq, "err", err)
+			}
 		}
 		ls.mu.Lock()
 		// ErrOutOfSync cannot persist: the publisher's drop-and-resync
@@ -622,7 +639,7 @@ func NewLiveWithHistory(sub *stream.Sub, bits int, est Estimator, window int, hi
 		return nil, fmt.Errorf("httpapi: %w", err)
 	}
 	if hist != nil {
-		if err := hist.Replay(func(d stream.Delta) error { return win.Push(d) }); err != nil {
+		if err := hist.Replay(window, win.Push); err != nil {
 			return nil, fmt.Errorf("httpapi: history replay: %w", err)
 		}
 	}

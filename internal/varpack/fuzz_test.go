@@ -69,6 +69,32 @@ func seedSparse() []fuzzSeed {
 	}
 }
 
+// seedFold are the inputs aimed at the walker's own seams, beside
+// seedSparse: where a run of two-byte pairs starts, stops and resumes,
+// and the refusals that fall inside one. The fuzz domains are 16 and
+// 1024 bits.
+func seedFold() []fuzzSeed {
+	pack := func(bits []int, inc []int64) []byte {
+		p, err := PackDelta(bits, inc)
+		if err != nil {
+			panic(err)
+		}
+		return p
+	}
+	short := []byte{1, 2, 1, 1, 1, 126, 1, 127} // +1, -1, +63, -64, each on the next bit
+	return []fuzzSeed{
+		{"dense-run", pack([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, []int64{1, -1, 63, -64, 0, 7, 7, 7, 2, 3, 4, 5})},
+		{"run-with-tail", pack([]int{0, 1, 2, 3, 4, 5, 6}, []int64{1, 2, 3, 4, 5, 6, 7})},
+		{"long-pairs-mid-run", pack([]int{0, 1, 2, 3, 4, 205, 206, 207, 208, 209, 210, 211}, []int64{1, 1, 300, 1, 1, 1, 1, 1, -65, 1, 1, 1})},
+		{"overlong-increment-in-run", slices.Concat([]byte{VersionSparse, 5}, short[:4], []byte{1, 0x82, 0x00}, short[:4])},
+		{"zero-gap-in-run", slices.Concat([]byte{VersionSparse, 8}, short, []byte{1, 2, 0, 2, 1, 2, 1, 2})},
+		{"leaves-small-domain-in-run", slices.Concat([]byte{VersionSparse, 8}, short, []byte{1, 2, 1, 2, 100, 2, 1, 2})},
+		{"leaves-both-domains", slices.Concat([]byte{VersionSparse, 12}, bytes.Repeat([]byte{127, 2}, 12))},
+		{"run-longer-than-count", slices.Concat([]byte{VersionSparse, 3}, short)},
+		{"count-longer-than-run", slices.Concat([]byte{VersionSparse, 5}, short)},
+	}
+}
+
 // allocated is the heap the process allocated while fn ran.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -166,10 +192,60 @@ func FuzzUnpackDelta(f *testing.F) {
 	})
 }
 
+// FuzzFoldDelta: the walker against UnpackDelta, on two domain sizes. It
+// accepts exactly the payloads UnpackDelta accepts whose indices fit the
+// domain; CheckDelta and FoldDelta agree, so a payload checked first
+// never half-lands; folding with sign 1 gives the sums of the decoded
+// pairs and sign -1 takes them back; and none of it allocates.
+func FuzzFoldDelta(f *testing.F) {
+	for _, s := range slices.Concat(seedSparse(), seedFold()) {
+		f.Add(s.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx, inc, unpackErr := UnpackDelta(data)
+		for _, m := range []int{16, 1024} {
+			fits := unpackErr == nil && (len(idx) == 0 || idx[len(idx)-1] < m)
+			counts, unchecked := make([]int64, m), make([]int64, m)
+			var check, add, sub, blind error
+			// Five runs: a stray allocation by the fuzz worker's own
+			// goroutines averages away, one per call does not.
+			allocs := testing.AllocsPerRun(5, func() {
+				if check = CheckDelta(data, m); check == nil {
+					add = FoldDelta(data, counts, 1)
+					sub = FoldDelta(data, counts, -1)
+				}
+				blind = FoldDelta(data, unchecked, 1)
+			})
+			if allocs != 0 {
+				t.Fatalf("m=%d: the walker allocated %v times per input", m, allocs)
+			}
+			if (check == nil) != fits || (blind == nil) != fits {
+				t.Fatalf("m=%d: CheckDelta %v, FoldDelta %v; UnpackDelta %v with indices %v", m, check, blind, unpackErr, idx)
+			}
+			if !fits {
+				continue
+			}
+			if add != nil || sub != nil {
+				t.Fatalf("m=%d: checked payload refused by the fold: +1 %v, -1 %v", m, add, sub)
+			}
+			if slices.ContainsFunc(counts, func(c int64) bool { return c != 0 }) {
+				t.Fatalf("m=%d: folding with sign -1 did not take back sign 1: %v", m, counts)
+			}
+			want := make([]int64, m)
+			for j, i := range idx {
+				want[i] += inc[j]
+			}
+			if err := FoldDelta(data, counts, 1); err != nil || !slices.Equal(counts, want) {
+				t.Fatalf("m=%d: folded %v (err %v), decoded pairs sum to %v", m, counts, err, want)
+			}
+		}
+	})
+}
+
 // TestFuzzCorpusCommitted keeps testdata/fuzz equal to the seed lists, so
 // the CI fuzz smoke and a plain `go test` start from the same named inputs.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for target, seeds := range map[string][]fuzzSeed{"FuzzUnpack": seedDense(), "FuzzUnpackDelta": seedSparse()} {
+	for target, seeds := range map[string][]fuzzSeed{"FuzzUnpack": seedDense(), "FuzzUnpackDelta": seedSparse(), "FuzzFoldDelta": seedFold()} {
 		for _, s := range seeds {
 			path := filepath.Join("testdata", "fuzz", target, s.name)
 			want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)

@@ -218,6 +218,37 @@ func BenchmarkDeltaPushVsPoll(b *testing.B) {
 	})
 }
 
+// BenchmarkFoldDelta folds one dense m = 1024 interval of a few dozen
+// reports (every pair two bytes, walked four at a time) from its packed
+// bytes, against the same fold over the slices UnpackDelta returns.
+func BenchmarkFoldDelta(b *testing.B) {
+	const m = 1024
+	bits, inc := make([]int, m), make([]int64, m)
+	for i := range bits {
+		bits[i], inc[i] = i, 1+int64(i*17%23)
+	}
+	payload, err := PackDelta(bits, inc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	counts := make([]int64, m)
+	b.Run("packed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := FoldDelta(payload, counts, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decoded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, i := range bits {
+				counts[i] += inc[j]
+			}
+		}
+	})
+}
+
 func TestRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            nil,
