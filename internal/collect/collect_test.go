@@ -11,29 +11,47 @@ import (
 	"idldp/internal/rng"
 )
 
+// TestRunSingleDeterministicAcrossWorkerCounts runs one campaign at 1, 4
+// and 16 workers over populations on both sides of every frame boundary a
+// worker can meet: fewer users than one frame (in all, and per worker),
+// and 4,096·k − 1, 4,096·k and 4,096·k + 1, where the last frame of the
+// one-worker run is full, one short, or a single report. Each must fold
+// exactly the flat per-user sum.
 func TestRunSingleDeterministicAcrossWorkerCounts(t *testing.T) {
 	e, err := core.New(core.Config{Budgets: budget.ToyExample()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := make([]int, 2000)
-	for i := range items {
-		items[i] = i % 5
+	sizes := []int{1, 17, 2000}
+	for _, k := range []int{1, 2, 4} {
+		sizes = append(sizes, k*frameReports-1, k*frameReports, k*frameReports+1)
 	}
-	run := func(workers int) []int64 {
-		a, err := RunSingle(items, e.M(), e.PerturbItem, Options{Workers: workers, Seed: 9})
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range sizes {
+		items := make([]int, n)
+		for i := range items {
+			items[i] = i % 5
 		}
-		if a.N() != 2000 {
-			t.Fatalf("N=%d", a.N())
+		run := func(workers int) []int64 {
+			a, err := RunSingle(items, e.M(), e.PerturbItem, Options{Workers: workers, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.N() != int64(n) {
+				t.Fatalf("n=%d workers=%d: folded N=%d", n, workers, a.N())
+			}
+			return a.Counts()
 		}
-		return a.Counts()
-	}
-	c1, c4, c16 := run(1), run(4), run(16)
-	for i := range c1 {
-		if c1[i] != c4[i] || c1[i] != c16[i] {
-			t.Fatalf("worker count changed results: %v %v %v", c1, c4, c16)
+		// The flat sum the frames must add up to: user u's report drawn from
+		// the root's u-th derived stream.
+		want, root := make([]int64, e.M()), rng.New(9)
+		for u, item := range items {
+			e.PerturbItem(item, root.SplitN(u)).AccumulateInto(want)
+		}
+		c1, c4, c16 := run(1), run(4), run(16)
+		for i := range want {
+			if c1[i] != want[i] || c4[i] != want[i] || c16[i] != want[i] {
+				t.Fatalf("n=%d: 1, 4 and 16 workers folded %v %v %v, the flat sum is %v", n, c1, c4, c16, want)
+			}
 		}
 	}
 }

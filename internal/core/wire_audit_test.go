@@ -261,6 +261,38 @@ func TestWireKeepProbability(t *testing.T) {
 	}
 }
 
+// TestWireTotalWeight completes audit (i) for a bias too small and too
+// evenly spread for any one bit to show: the number of set bits over all
+// reports against Σ_k Pr(y[k] = 1), whose standard error shrinks with
+// reports × bits. A sampler that lost the lanes its first nine planes leave
+// undecided would report each bit about 2⁻¹⁰ too seldom — half a per-bit
+// standard error at this n, and z = −19.6 on this sum.
+func TestWireTotalWeight(t *testing.T) {
+	e, err := New(Config{Budgets: benchAssignment(t), Model: opt.Opt0, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40 * 1024
+	ua, ub := e.UE().A, e.UE().B
+	var zeroMean, zeroVar float64 // of the all-zero input's report weight
+	for _, b := range ub {
+		zeroMean += b
+		zeroVar += b * (1 - b)
+	}
+	var got, want, variance float64
+	r, out := rng.New(20261003), e.NewReport()
+	for rep := 0; rep < n; rep++ {
+		item := rep % e.M()
+		e.PerturbItemInto(item, r, out)
+		got += float64(out.Count())
+		want += zeroMean - ub[item] + ua[item]
+		variance += zeroVar - ub[item]*(1-ub[item]) + ua[item]*(1-ua[item])
+	}
+	if z := (got - want) / math.Sqrt(variance); math.Abs(z) > zMax {
+		t.Errorf("%d reports carry %.0f set bits, want %.0f (z = %.2f)", n, got, want, z)
+	}
+}
+
 // TestWireCountVariance audits independence across users, on the path a
 // campaign takes: collect.RunSingleInto gives every user a stream derived
 // from her index, and the estimator's variance (Eq. 9, what the

@@ -20,16 +20,31 @@
 // Bit planes (dense bits). Each B[k] is stored as the 0.64 fixed-point
 // threshold T = ⌊B[k]·2⁶⁴⌋, transposed so that plane j of an output word
 // holds bit 63−j of its 64 lanes' thresholds. A lane's output bit is
-// [U < T] for a uniform 64-bit U that is never materialized: one Uint64
+// [U < T] for a uniform 64-bit U that is never materialized: one 64-bit
 // draw supplies the next bit of all 64 lanes' U at once, MSB first, and a
 // lane is decided at the first plane where its U and T differ — half of the
-// undecided lanes per draw. A word costs log₂64 + 1.33 ≈ 7.3 expected
-// draws, so a report costs
+// undecided lanes per draw. Stopping the moment the last lane is decided
+// takes log₂64 + 1.33 ≈ 7.3 expected draws a word, but a loop that exits
+// after 7.3 ± 1.9 trips mispredicts its exit once per word, which costs
+// more than the two draws a fixed count adds. So a word first runs a
+// prefix of ⌈log₂ lanes⌉ + 3 planes, set at plan time from its live-lane
+// count (9 for a full word, 6 for the 8 live lanes of IDUE-PS's last word
+// at m + ℓ = 1,032, none for a word with no live lane) with no test of
+// what is left undecided, and only from there on stops when no lane is,
+// a tail the 11.8% of words that still hold an undecided lane need for
+// another 0.24 draws on average. A full word costs 9.24 expected draws and
+// a report
 //
-//	O(m/64 · 7.3 + |x|)
+//	O(m/64 · 9.24 + |x|)
 //
 // draws whatever b is and however the levels interleave (thresholds are per
-// lane). The probability realized is exactly T/2⁶⁴: finer than the
+// lane). A prefix shorter than ⌈log₂ lanes⌉ + 2 leaves most words to the
+// data-dependent exit, which mispredicts as with no prefix: per §VII report,
+// no prefix 470 ns, depth 4 / 5 / 6 / 7 → 485 / 462 / 463 / 431, depth
+// 8 / 9 / 10 → 376 / 365 / 374. The draws are rng.PCG steps on a by-value
+// copy of the Source's generator, held in registers across a word and
+// stored back before anything else draws. The probability realized is
+// exactly T/2⁶⁴ (the tail runs to plane 64 if it must): finer than the
 // reference's Float64() < p grid of 2⁻⁵³, and equal to B[k] for every
 // float64 B[k] ≥ 2⁻¹¹ (smaller values truncate, never round up).
 //
@@ -42,12 +57,14 @@
 // for t runs at mean flip rate b̄.
 //
 // The plan assigns a run to skip when b < skipBelow and to planes
-// otherwise. skipBelow = 0.08 is where the two cost the same at m = 1024 on
-// the 2.1 GHz Xeon the repository's benchmark runs on: ~10 ns per flipped
-// bit against ~47 ns per 64-lane word, per report skip 660 ns and planes
-// 754 ns at b = 0.07, 735 / 752 at 0.08, 840 / 750 at 0.09.
+// otherwise. skipBelow = 0.06 is where the two cost the same at m = 1024 on
+// the 2.1 GHz Xeon the repository's benchmark runs on (best of 200 batches
+// of 4,096 reports): planes ~23 ns per 64-lane word, 365 ns per report at
+// any b; skip ~5.4 ns per flipped bit on top of ~40 ns per report, so
+// 300 / 316 / 341 / 365 / 397 / 429 ns at b = 0.047 / 0.05 / 0.055 / 0.06 /
+// 0.065 / 0.07 — they cross at b = 0.06 (OUE ε ≈ 2.75).
 // BenchmarkPerturbItem in this package measures both plans at the §VII
-// IDUE setting and at OUE ε ∈ {1, 3, 5, 8} and fails if the chosen one
+// IDUE setting and at OUE ε ∈ {1, 2.5, 3, 5, 8} and fails if the chosen one
 // loses by more than 20%. The two samplers write disjoint bits, so runs of
 // both kinds may share a word. The *Into variants write into a
 // caller-provided buffer, so steady-state report generation does not
@@ -85,12 +102,14 @@ type UE struct {
 	// reference path. Read-only after construction, so a UE is safe to
 	// share across perturbation goroutines.
 	//
-	// live[w] masks the lanes of output word w drawn by the plane sampler
-	// and planes[w][j] holds bit 63-j of their thresholds (zero on every
-	// other lane; nil when no lane is). Word-major, so the ~8 planes a word
-	// usually needs share a cache line. skips are the runs drawn by
-	// geometric skip instead.
+	// live[w] masks the lanes of output word w drawn by the plane sampler,
+	// depth[w] is the length of its fixed prefix (prefixDepth of its
+	// live-lane count) and planes[w][j] holds bit 63-j of the lanes'
+	// thresholds (zero on every other lane; nil when no lane is).
+	// Word-major, so the ~9 planes a word usually needs span two cache
+	// lines. skips are the runs drawn by geometric skip instead.
 	live   []uint64
+	depth  []uint8
 	planes [][64]uint64
 	skips  []skipRun
 }
@@ -105,7 +124,7 @@ type skipRun struct {
 // skipBelow is the flip probability under which a run is sampled by
 // geometric skip rather than bit planes (see the package cost model for
 // where it was measured).
-const skipBelow = 0.08
+const skipBelow = 0.06
 
 // NewUE builds a UE mechanism from explicit per-bit probabilities. It
 // returns an error unless 0 < B[k] <= A[k] < 1 for every bit (the paper's
@@ -156,6 +175,22 @@ func (u *UE) buildPlan(skipBelow float64) {
 		}
 		u.skips[ri].pos = append(u.skips[ri].pos, int32(k))
 	}
+	u.depth = make([]uint8, words)
+	for wi, live := range u.live {
+		u.depth[wi] = prefixDepth(bits.OnesCount64(live))
+	}
+}
+
+// prefixDepth is the number of planes a word with the given live-lane count
+// draws before it first tests whether a lane is still undecided:
+// ⌈log₂ lanes⌉ + 3, after which one word in eight still has one (see the
+// package cost model for the depths either side), and none for a word the
+// plane sampler owns no lane of.
+func prefixDepth(lanes int) uint8 {
+	if lanes == 0 {
+		return 0
+	}
+	return uint8(bits.Len(uint(lanes-1)) + 3)
 }
 
 // fixed64 returns ⌊p·2⁶⁴⌋ for p in (0, 1), the threshold T for which a
@@ -172,19 +207,13 @@ func (u *UE) fill(r *rng.Source, w []uint64) {
 		// walking the words below to store zeros would be a quarter.
 		clear(w)
 	}
+	// The planes draw from a copy of r's generator and hand it back before
+	// the skip runs (and the caller's keep) draw through r.
+	g := r.State()
 	for wi := range u.planes {
-		// und holds the lanes whose uniform U has matched the threshold on
-		// every plane so far; lt the lanes already decided U < T. A lane
-		// leaves und at the first plane where the two differ, and it is
-		// below the threshold iff that plane has U's bit 0 and T's bit 1.
-		p, und, lt := &u.planes[wi], u.live[wi], uint64(0)
-		for j := 0; und != 0 && j < len(p); j++ {
-			x, t := r.Uint64(), p[j]
-			lt |= und &^ x & t
-			und &^= x ^ t
-		}
-		w[wi] = lt
+		g, w[wi] = planeWord(g, &u.planes[wi], u.live[wi], int(u.depth[wi]))
 	}
+	r.SetState(g)
 	// Within a skip run every bit shares b, so the gaps between flip
 	// positions are Geometric(b): jump, flip, repeat.
 	for ri := range u.skips {
@@ -194,6 +223,30 @@ func (u *UE) fill(r *rng.Source, w []uint64) {
 			w[k>>6] |= 1 << uint(k&63)
 		}
 	}
+}
+
+// planeWord draws one output word from the planes p of its live lanes:
+// bit k is [U < T] for lane k's threshold T and a fresh uniform U, zero on
+// a lane that is not live. It returns g advanced by the draws it took: d
+// whatever they decide, then one per further plane while a lane is still
+// undecided. A function of its own so that the generator, the two lane
+// masks and the plane cursor are all the loop keeps live: inlined into
+// fill's word loop they spill.
+func planeWord(g rng.PCG, p *[64]uint64, live uint64, d int) (rng.PCG, uint64) {
+	// und holds the lanes whose uniform U has matched the threshold on
+	// every plane so far; lt the lanes already decided U < T. A lane
+	// leaves und at the first plane where the two differ, and it is
+	// below the threshold iff that plane has U's bit 0 and T's bit 1.
+	und, lt, x := live, uint64(0), uint64(0)
+	for j, t := range p {
+		if j >= d && und == 0 {
+			break
+		}
+		g, x = g.Next()
+		lt |= und &^ x & t
+		und &^= x ^ t
+	}
+	return g, lt
 }
 
 // keep overwrites bit k of w, a set input bit, with a Bernoulli(A[k]) draw.

@@ -262,3 +262,132 @@ func TestPerturbIntoZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// replayWord is the scalar twin of planeWord: it takes the draws one at a
+// time from draw, rebuilds every live lane's uniform U plane by plane, MSB
+// first, and stops where the sampler must — after the word's prefix
+// (⌈log₂ lanes⌉ + 3 planes, worked out here by counting, not read from the
+// plan) once no live lane's U still equals its threshold on every plane
+// drawn. A lane's output bit is [U < T], which its first differing plane
+// decides; the draws it reports taking beyond the prefix are the tail's.
+func replayWord(u *UE, wi int, draw func() uint64) (word uint64, tail int) {
+	var lanes []int
+	var T, U [64]uint64
+	for k := 0; k < 64; k++ {
+		if u.live[wi]>>uint(k)&1 == 1 {
+			lanes = append(lanes, k)
+			T[k] = laneThreshold(u, wi*64+k)
+		}
+	}
+	prefix := 0
+	if len(lanes) > 0 {
+		for prefix = 3; 1<<(prefix-3) < len(lanes); prefix++ {
+		}
+	}
+	drawn := 0
+	undecided := func() bool {
+		for _, k := range lanes {
+			// x >> 64 is 0 in Go: with no plane drawn every lane is open.
+			if U[k]>>(64-drawn) == T[k]>>(64-drawn) {
+				return true
+			}
+		}
+		return false
+	}
+	for drawn < prefix || drawn < 64 && undecided() {
+		x := draw()
+		for _, k := range lanes {
+			U[k] |= (x >> uint(k) & 1) << (63 - drawn)
+		}
+		drawn++
+	}
+	for _, k := range lanes {
+		if U[k] < T[k] {
+			word |= 1 << uint(k)
+		}
+	}
+	return word, drawn - prefix
+}
+
+// TestFillReplaysScalar is the sampler's fast-equals-naive check, bit for
+// bit: a twin Source replays fill — replayWord for the planes, then the
+// skip runs — and must produce the same words from garbage-filled buffers
+// (so a plane bit in a padding or skip-owned lane, or a word left
+// unwritten, shows) and stand at the same point of the stream afterwards.
+// The shapes are §VII IDUE, splitUE (planes and two skip runs in every
+// word), an all-planes 1,032-bit report whose last word has IDUE-PS's 8
+// live lanes, and words with 0, 1, 8 and 64 live lanes side by side.
+func TestFillReplaysScalar(t *testing.T) {
+	rates := []float64{0.26, 0.31, 0.43, 0.37}
+	setShape := make([]float64, 1032)
+	for k := range setShape {
+		setShape[k] = rates[(k+k/5)%len(rates)]
+	}
+	// Word 0 all sparse, word 1 one dense lane, word 2 eight, word 3 all.
+	laneMix := make([]float64, 256)
+	for k := range laneMix {
+		laneMix[k] = 0.01
+		if k == 64+37 || k >= 128+20 && k < 128+28 || k >= 192 {
+			laneMix[k] = rates[k%len(rates)]
+		}
+	}
+	fromB := func(B []float64) *UE {
+		A := make([]float64, len(B))
+		for k := range A {
+			A[k] = 0.5 + B[k]/2
+		}
+		u, err := NewUE(A, B)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	mixed := fromB(laneMix)
+	for wi, want := range []int{0, 1, 8, 64} {
+		if got := bits.OnesCount64(mixed.live[wi]); got != want {
+			t.Fatalf("lanes-0/1/8/64: word %d has %d live lanes, want %d", wi, got, want)
+		}
+	}
+	tails := 0
+	for name, u := range map[string]*UE{
+		"§VII":           sectionVII(t),
+		"split-1032":     splitUE(t, 1032),
+		"ps-1032":        fromB(setShape),
+		"lanes-0/1/8/64": mixed,
+	} {
+		words := (u.Bits() + 63) / 64
+		w, want := make([]uint64, words), make([]uint64, words)
+		r, twin := rng.New(20260928), rng.New(20260928)
+		for rep := 0; rep < 500; rep++ {
+			for wi := range w {
+				w[wi] = ^uint64(0)
+			}
+			u.fill(r, w)
+
+			clear(want)
+			for wi := range u.planes {
+				var tail int
+				want[wi], tail = replayWord(u, wi, twin.Uint64)
+				if tail > 0 {
+					tails++
+				}
+			}
+			for _, run := range u.skips {
+				for i := twin.GeometricSkipLn(run.ln1mb); i < len(run.pos); i += 1 + twin.GeometricSkipLn(run.ln1mb) {
+					want[run.pos[i]>>6] |= 1 << uint(run.pos[i]&63)
+				}
+			}
+			for wi := range w {
+				if w[wi] != want[wi] {
+					t.Fatalf("%s report %d word %d: fill wrote %#016x, the scalar replay %#016x", name, rep, wi, w[wi], want[wi])
+				}
+			}
+			if got, want := r.Uint64(), twin.Uint64(); got != want {
+				t.Fatalf("%s report %d: the Source stands elsewhere than the replay (next draw %#x, twin %#x)", name, rep, got, want)
+			}
+		}
+	}
+	if tails < 1000 {
+		t.Errorf("the tail ran for %d words, want at least 1,000 for the replay to have covered it", tails)
+	}
+}

@@ -10,21 +10,67 @@
 // and Reseed re-point an existing Source at a derived stream without
 // allocating, which is what keeps per-user report generation
 // allocation-free in the collection hot loops.
+//
+// The generator is this package's own: PCG is the PCG-DXSM step of
+// math/rand/v2, and a Source holds its state directly rather than a
+// rand.PCG. A seed yields exactly the draws rand.New(rand.NewPCG(..))
+// yields — the tests pin the raw step and every sampling method against
+// the standard library — and owning the step is what lets a hot loop run it
+// on a local copy of the state (Source.State, PCG.Next, Source.SetState):
+// the standard library's costs a call and a round trip through memory per
+// draw.
 package rng
 
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
-// Source is a seeded pseudo-random source. It wraps math/rand/v2's PCG
-// generator and adds the sampling primitives the rest of the repository
-// needs. A Source is not safe for concurrent use; use Split to hand each
-// goroutine its own stream.
+// PCG is the state of the PCG-DXSM generator every Source runs: the
+// 128-bit LCG and output function of math/rand/v2's rand.PCG, written out
+// here so that the step inlines into a caller's loop. The standard
+// library's is reachable only through a method call per draw with the
+// state in memory, which was over a third of the bit-plane sampler's time
+// in internal/mech. Next takes and returns the state by value, so a caller
+// that loops g, x = g.Next() on a copy taken with Source.State keeps both
+// words in registers for the whole run of draws, and hands the copy back
+// with Source.SetState when it is done.
+type PCG struct{ hi, lo uint64 }
+
+// Next advances the generator one step and returns its uniform 64-bit
+// output: state·mul + inc over 128 bits, then DXSM of the new state.
+func (g PCG) Next() (PCG, uint64) {
+	const (
+		mulHi    = 2549297995355413924
+		mulLo    = 4865540595714422341
+		incHi    = 6364136223846793005
+		incLo    = 1442695040888963407
+		cheapMul = 0xda942042e4dd58b5
+	)
+	hi, lo := bits.Mul64(g.lo, mulLo)
+	hi += g.hi*mulLo + g.lo*mulHi
+	lo, c := bits.Add64(lo, incLo, 0)
+	hi, _ = bits.Add64(hi, incHi, c)
+	g = PCG{hi, lo}
+	hi ^= hi >> 32
+	hi *= cheapMul
+	hi ^= hi >> 48
+	return g, hi * (lo | 1)
+}
+
+// Source is a seeded pseudo-random source. It owns its generator — g is
+// the whole state, and r is a rand.Rand drawing from the Source itself, so
+// Uint64, the State/SetState hand-off and every distribution math/rand/v2
+// supplies (Float64, IntN, ExpFloat64, ...) consume one stream. That stream
+// is rand.New(rand.NewPCG(s1, s2))'s, draw for draw: the package's tests
+// pin PCG.Next against rand.PCG.Uint64 and every sampling method against a
+// standard-library twin. A Source is not safe for concurrent use; use Split
+// to hand each goroutine its own stream.
 type Source struct {
-	r   *rand.Rand
-	pcg *rand.PCG
+	r *rand.Rand
+	g PCG
 	// seeds retained so Split can derive independent streams.
 	s1, s2 uint64
 }
@@ -32,22 +78,29 @@ type Source struct {
 // New returns a Source seeded with the given value. Two Sources created
 // with the same seed produce identical streams.
 func New(seed uint64) *Source {
-	// Mix the single user seed into two PCG words using splitmix64 so that
-	// nearby seeds (0, 1, 2, ...) yield unrelated streams.
-	s1 := splitmix64(seed)
-	s2 := splitmix64(s1)
-	pcg := rand.NewPCG(s1, s2)
-	return &Source{r: rand.New(pcg), pcg: pcg, s1: s1, s2: s2}
+	s := new(Source)
+	s.r = rand.New(s)
+	s.Reseed(seed)
+	return s
 }
 
 // Reseed resets s in place to the stream New(seed) would produce,
 // reusing the existing generator state instead of allocating a new one.
 func (s *Source) Reseed(seed uint64) {
-	s1 := splitmix64(seed)
-	s2 := splitmix64(s1)
-	s.pcg.Seed(s1, s2)
-	s.s1, s.s2 = s1, s2
+	// Mix the single user seed into two PCG words using splitmix64 so that
+	// nearby seeds (0, 1, 2, ...) yield unrelated streams.
+	s.s1 = splitmix64(seed)
+	s.s2 = splitmix64(s.s1)
+	s.g = PCG{hi: s.s1, lo: s.s2}
 }
+
+// State returns a copy of the generator for a run of PCG.Next draws on a
+// local. Until SetState hands the copy back the Source still stands where
+// it was, so the caller must store before anything else draws from it.
+func (s *Source) State() PCG { return s.g }
+
+// SetState moves the Source to g, a copy taken with State and advanced.
+func (s *Source) SetState(g PCG) { s.g = g }
 
 // Split derives an independent Source identified by label. Splitting the
 // same parent with the same label always yields the same child stream,
@@ -90,11 +143,14 @@ func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 
-// Uint64 returns a uniform 64-bit value. rand.Rand.Uint64 only forwards to
-// its Source, so calling the retained PCG is the same stream without the
-// interface dispatch — the bit-plane sampler in internal/mech draws ~120 of
-// these per report.
-func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
+// Uint64 returns a uniform 64-bit value: one step of the generator. It is
+// also the rand.Source method s.r draws through. A loop that wants many —
+// the bit-plane sampler in internal/mech draws ~150 per report — runs them
+// on a State copy instead.
+func (s *Source) Uint64() (x uint64) {
+	s.g, x = s.g.Next()
+	return x
+}
 
 // Bernoulli reports true with probability p. Values of p outside [0, 1]
 // are clamped, so Bernoulli(1.2) is always true and Bernoulli(-0.1) false.

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -16,38 +17,83 @@ func TestNewDeterministic(t *testing.T) {
 	}
 }
 
-// TestUint64SharesTheRandStream pins that Uint64, which calls the PCG
-// directly, and the draws that go through rand.Rand consume one stream:
-// interleaved in any order they match a plain rand.New(pcg) twin, also
-// after a Reseed.
+// pcgTwin is the standard-library generator New(seed) must reproduce.
+func pcgTwin(seed uint64) *rand.PCG {
+	return rand.NewPCG(splitmix64(seed), splitmix64(splitmix64(seed)))
+}
+
+// TestUint64SharesTheRandStream pins that the three ways to draw — Uint64,
+// a run of PCG.Next steps on a State copy handed back with SetState, and
+// the methods that go through rand.Rand — consume one stream, and that it
+// is math/rand/v2's: interleaved in any order they match a plain
+// rand.New(rand.NewPCG(..)) twin, also after a Reseed and on a child
+// re-pointed by SplitNInto (which must leave the parent where it was).
 func TestUint64SharesTheRandStream(t *testing.T) {
 	const seed = 20200420
-	s := New(seed)
-	twinPCG := rand.NewPCG(splitmix64(seed), splitmix64(splitmix64(seed)))
+	// handOff takes the state, draws k and stores back, against k twin draws.
+	handOff := func(where string, s *Source, twin *rand.Rand, k int) {
+		t.Helper()
+		g := s.State()
+		for d := 0; d < k; d++ {
+			var got uint64
+			if g, got = g.Next(); got != twin.Uint64() {
+				t.Fatalf("%s: draw %d of a %d-draw hand-off left the twin's stream", where, d, k)
+			}
+		}
+		s.SetState(g)
+	}
+	s, child := New(seed), New(0)
+	twinPCG := pcgTwin(seed)
 	twin := rand.New(twinPCG)
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 2000; i++ {
-			switch i % 5 {
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2100; i++ {
+			where := fmt.Sprintf("round %d step %d", round, i)
+			switch i % 7 {
 			case 0, 3:
 				if got, want := s.Uint64(), twin.Uint64(); got != want {
-					t.Fatalf("round %d draw %d: Uint64 %#x, twin %#x", round, i, got, want)
+					t.Fatalf("%s: Uint64 %#x, twin %#x", where, got, want)
 				}
 			case 1:
 				if got, want := s.Float64(), twin.Float64(); got != want {
-					t.Fatalf("round %d draw %d: Float64 %v, twin %v", round, i, got, want)
+					t.Fatalf("%s: Float64 %v, twin %v", where, got, want)
 				}
 			case 2:
 				if got, want := s.IntN(i+7), twin.IntN(i+7); got != want {
-					t.Fatalf("round %d draw %d: IntN %d, twin %d", round, i, got, want)
+					t.Fatalf("%s: IntN %d, twin %d", where, got, want)
 				}
 			case 4:
 				if got, want := s.GeometricSkipLn(-0.3), int(twin.ExpFloat64()/0.3); got != want {
-					t.Fatalf("round %d draw %d: GeometricSkipLn %d, twin %d", round, i, got, want)
+					t.Fatalf("%s: GeometricSkipLn %d, twin %d", where, got, want)
+				}
+			case 5:
+				// 0, 1 and the sampler's 9-to-150-draw runs.
+				handOff(where, s, twin, []int{0, 1, 9, 150}[i/7%4])
+			case 6:
+				s.SplitNInto(i, child)
+				childTwin := rand.New(pcgTwin(s.s1 ^ splitmix64(s.s2+uint64(i)*0x9e3779b97f4a7c15+1)))
+				handOff(where+" (child)", child, childTwin, 12)
+				if got, want := child.Float64(), childTwin.Float64(); got != want {
+					t.Fatalf("%s: child Float64 %v after the hand-off, twin %v", where, got, want)
 				}
 			}
 		}
-		s.Reseed(seed + 1)
-		twinPCG.Seed(splitmix64(seed+1), splitmix64(splitmix64(seed+1)))
+		s.Reseed(seed + uint64(round) + 1)
+		*twinPCG = *pcgTwin(seed + uint64(round) + 1)
+	}
+}
+
+// TestPCGNextMatchesStdlib pins the owned PCG-DXSM step against
+// rand.PCG.Uint64: 10⁵ consecutive draws from each of ten seeds, the state
+// never touching a Source in between.
+func TestPCGNextMatchesStdlib(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		g, std := New(seed*0x9e3779b97f4a7c15).State(), pcgTwin(seed*0x9e3779b97f4a7c15)
+		for i := 0; i < 100000; i++ {
+			var got uint64
+			if g, got = g.Next(); got != std.Uint64() {
+				t.Fatalf("seed %d draw %d: PCG.Next left rand.PCG's stream", seed, i)
+			}
+		}
 	}
 }
 
