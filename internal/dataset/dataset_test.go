@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"path/filepath"
 	"testing"
@@ -192,6 +194,85 @@ func TestTopM(t *testing.T) {
 	}
 }
 
+// hashSets is FNV-1a over the domain, the user count, and every set's
+// length and items in order.
+func hashSets(d *SetValued) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	put(d.M)
+	put(len(d.Sets))
+	for _, s := range d.Sets {
+		put(len(s))
+		for _, i := range s {
+			put(i)
+		}
+	}
+	return h.Sum64()
+}
+
+// layoutCases are the generators and TopM at fixed seeds, each with the
+// hash of its output computed before the sets were held in one backing
+// array: the flat layout must not change a draw or an item.
+func layoutCases(t *testing.T) map[string]struct {
+	d    *SetValued
+	hash uint64
+} {
+	t.Helper()
+	rc := DefaultRetail()
+	rc.Items, rc.Seed = 4096, 1 // the bench's batch_set shape, 20k users
+	retailTop, err := Retail(rc).TopM(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kosarak := Kosarak(DefaultKosarak())
+	kosarakTop, err := kosarak.TopM(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]struct {
+		d    *SetValued
+		hash uint64
+	}{
+		"Retail":      {Retail(DefaultRetail()), 0x211acf251897f96d},
+		"Retail top":  {retailTop, 0xf8b299fcf7c0f496},
+		"Kosarak":     {kosarak, 0x3a955e9d67c901ef},
+		"Kosarak top": {kosarakTop, 0x452a89ca3f163656},
+		"MSNBC":       {MSNBC(DefaultMSNBC()), 0xcbd40dcb3bba7ad7},
+	}
+}
+
+// TestSetLayoutMatchesParent pins the generators and TopM element for
+// element against the output they had with a slice per set.
+func TestSetLayoutMatchesParent(t *testing.T) {
+	for name, c := range layoutCases(t) {
+		if got := hashSets(c.d); got != c.hash {
+			t.Errorf("%s: sets hash to %#x, want %#x", name, got, c.hash)
+		}
+	}
+}
+
+// TestSetsDoNotShareCapacity appends to every user's set in turn and
+// checks that the next user's set is untouched: a set carved from the
+// shared backing array must have no capacity past its own items.
+func TestSetsDoNotShareCapacity(t *testing.T) {
+	for name, c := range layoutCases(t) {
+		sets := c.d.Sets
+		for u := 0; u+1 < len(sets); u++ {
+			next := append([]int(nil), sets[u+1]...)
+			sets[u] = append(sets[u], -1)
+			for j, i := range next {
+				if sets[u+1][j] != i {
+					t.Fatalf("%s: appending to user %d's set wrote into user %d's", name, u, u+1)
+				}
+			}
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	if err := (&SingleItem{Items: []int{5}, M: 5}).Validate(); err == nil {
 		t.Error("out-of-range item accepted")
@@ -204,6 +285,16 @@ func TestValidateErrors(t *testing.T) {
 	}
 	if err := (&SetValued{Sets: [][]int{{-1}}, M: 3}).Validate(); err == nil {
 		t.Error("negative item accepted")
+	}
+	// The same item in two users' sets is no duplicate, under the dense
+	// stamps (domain no larger than the items held) and the sparse ones.
+	for _, m := range []int{3, 1 << 40} {
+		if err := (&SetValued{Sets: [][]int{{0, 2}, {2, 0}, {}, {1, 2}}, M: m}).Validate(); err != nil {
+			t.Errorf("M=%d: valid sets rejected: %v", m, err)
+		}
+		if err := (&SetValued{Sets: [][]int{{0, 2}, {1}, {2, 1, 2}}, M: m}).Validate(); err == nil {
+			t.Errorf("M=%d: duplicate in a later set accepted", m)
+		}
 	}
 }
 

@@ -39,14 +39,19 @@
 //
 // draws whatever b is and however the levels interleave (thresholds are per
 // lane). A prefix shorter than ⌈log₂ lanes⌉ + 2 leaves most words to the
-// data-dependent exit, which mispredicts as with no prefix: per §VII report,
-// no prefix 470 ns, depth 4 / 5 / 6 / 7 → 485 / 462 / 463 / 431, depth
-// 8 / 9 / 10 → 376 / 365 / 374. The draws are rng.PCG steps on a by-value
-// copy of the Source's generator, held in registers across a word and
-// stored back before anything else draws. The probability realized is
-// exactly T/2⁶⁴ (the tail runs to plane 64 if it must): finer than the
-// reference's Float64() < p grid of 2⁻⁵³, and equal to B[k] for every
-// float64 B[k] ≥ 2⁻¹¹ (smaller values truncate, never round up).
+// data-dependent exit, which mispredicts as with no prefix; per §VII report,
+// ⌈log₂ lanes⌉ + 2 / 3 / 4 / 5 → 331 / 306 / 308 / 330 ns. The draws come
+// from an rng.Xoshiro, a xoshiro256++ generator that fill derives once per
+// report from the Source's next two words (when the plan has planes at
+// all) and holds in registers across the words: no multiply a draw, where
+// the PCG-DXSM step of the Source costs five, so a full word takes ~21 ns
+// and a §VII report ~340 ns, the derivation included (on PCG-DXSM steps
+// ~34 ns and ~550 ns). The Source moves on exactly two words per report for
+// its planes, so the skip runs and the keep draws after them stay on the
+// Source's own stream. The probability realized is exactly T/2⁶⁴ (the tail
+// runs to plane 64 if it must): finer than the reference's Float64() < p
+// grid of 2⁻⁵³, and equal to B[k] for every float64 B[k] ≥ 2⁻¹¹ (smaller
+// values truncate, never round up).
 //
 // Geometric skip (sparse bits). Bits sharing a flip probability b form a
 // run, and the gap between consecutive flips of a run is Geometric(b): one
@@ -57,12 +62,11 @@
 // for t runs at mean flip rate b̄.
 //
 // The plan assigns a run to skip when b < skipBelow and to planes
-// otherwise. skipBelow = 0.06 is where the two cost the same at m = 1024 on
-// the 2.1 GHz Xeon the repository's benchmark runs on (best of 200 batches
-// of 4,096 reports): planes ~23 ns per 64-lane word, 365 ns per report at
-// any b; skip ~5.4 ns per flipped bit on top of ~40 ns per report, so
-// 300 / 316 / 341 / 365 / 397 / 429 ns at b = 0.047 / 0.05 / 0.055 / 0.06 /
-// 0.065 / 0.07 — they cross at b = 0.06 (OUE ε ≈ 2.75).
+// otherwise. skipBelow = 0.037 is where the two cost the same at m = 1024 on
+// the 2.1 GHz Xeon the repository's benchmark runs on (best of 60 batches
+// of 4,096 reports): planes 325–355 ns per report at any b; skip
+// 620 / 500 / 410 / 345 / 265 ns at b = 0.076 / 0.06 / 0.047 / 0.037 /
+// 0.029 — they cross at b = 0.037 (OUE ε ≈ 3.25).
 // BenchmarkPerturbItem in this package measures both plans at the §VII
 // IDUE setting and at OUE ε ∈ {1, 2.5, 3, 5, 8} and fails if the chosen one
 // loses by more than 20%. The two samplers write disjoint bits, so runs of
@@ -124,7 +128,7 @@ type skipRun struct {
 // skipBelow is the flip probability under which a run is sampled by
 // geometric skip rather than bit planes (see the package cost model for
 // where it was measured).
-const skipBelow = 0.06
+const skipBelow = 0.037
 
 // NewUE builds a UE mechanism from explicit per-bit probabilities. It
 // returns an error unless 0 < B[k] <= A[k] < 1 for every bit (the paper's
@@ -204,16 +208,18 @@ func fixed64(p float64) uint64 { return uint64(p * 0x1p64) }
 func (u *UE) fill(r *rng.Source, w []uint64) {
 	if u.planes == nil {
 		// An all-skip plan: a report can cost ~45 ns in all, of which
-		// walking the words below to store zeros would be a quarter.
+		// walking the words below to store zeros would be a quarter. It
+		// derives no plane stream, so its draws are the Source's alone.
 		clear(w)
+	} else {
+		// The planes draw from a generator of their own, seeded from r's
+		// next two words; the skip runs (and the caller's keep) draw
+		// through r.
+		g := r.Xoshiro()
+		for wi := range u.planes {
+			g, w[wi] = planeWord(g, &u.planes[wi], u.live[wi], int(u.depth[wi]))
+		}
 	}
-	// The planes draw from a copy of r's generator and hand it back before
-	// the skip runs (and the caller's keep) draw through r.
-	g := r.State()
-	for wi := range u.planes {
-		g, w[wi] = planeWord(g, &u.planes[wi], u.live[wi], int(u.depth[wi]))
-	}
-	r.SetState(g)
 	// Within a skip run every bit shares b, so the gaps between flip
 	// positions are Geometric(b): jump, flip, repeat.
 	for ri := range u.skips {
@@ -232,7 +238,7 @@ func (u *UE) fill(r *rng.Source, w []uint64) {
 // undecided. A function of its own so that the generator, the two lane
 // masks and the plane cursor are all the loop keeps live: inlined into
 // fill's word loop they spill.
-func planeWord(g rng.PCG, p *[64]uint64, live uint64, d int) (rng.PCG, uint64) {
+func planeWord(g rng.Xoshiro, p *[64]uint64, live uint64, d int) (rng.Xoshiro, uint64) {
 	// und holds the lanes whose uniform U has matched the threshold on
 	// every plane so far; lt the lanes already decided U < T. A lane
 	// leaves und at the first plane where the two differ, and it is

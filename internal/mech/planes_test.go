@@ -309,14 +309,49 @@ func replayWord(u *UE, wi int, draw func() uint64) (word uint64, tail int) {
 	return word, drawn - prefix
 }
 
+// refPlanes is the scalar twin of the plane stream fill derives: a
+// xoshiro256++ generator, array state, seeded by hand with the first two
+// SplitMix64 outputs from each of two words of the twin Source.
+type refPlanes struct{ s [4]uint64 }
+
+func newRefPlanes(twin *rng.Source) *refPlanes {
+	var g refPlanes
+	for i := 0; i < 4; i += 2 {
+		x := twin.Uint64()
+		for j := i; j < i+2; j++ {
+			x += 0x9e3779b97f4a7c15
+			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			z = (z ^ z>>27) * 0x94d049bb133111eb
+			g.s[j] = z ^ z>>31
+		}
+	}
+	return &g
+}
+
+func (g *refPlanes) draw() uint64 {
+	s := &g.s
+	out := bits.RotateLeft64(s[0]+s[3], 23) + s[0]
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = bits.RotateLeft64(s[3], 45)
+	return out
+}
+
 // TestFillReplaysScalar is the sampler's fast-equals-naive check, bit for
-// bit: a twin Source replays fill — replayWord for the planes, then the
-// skip runs — and must produce the same words from garbage-filled buffers
-// (so a plane bit in a padding or skip-owned lane, or a word left
-// unwritten, shows) and stand at the same point of the stream afterwards.
-// The shapes are §VII IDUE, splitUE (planes and two skip runs in every
-// word), an all-planes 1,032-bit report whose last word has IDUE-PS's 8
-// live lanes, and words with 0, 1, 8 and 64 live lanes side by side.
+// bit: a twin Source replays fill — a plane stream seeded by hand from its
+// next two words (refPlanes) when the plan has planes, replayWord on it,
+// then the skip runs on the twin itself — and must produce the same words
+// from garbage-filled buffers (so a plane bit in a padding or skip-owned
+// lane, or a word left unwritten, shows) and leave the Source where the
+// twin stands: two words further per fill that uses planes, plus the skip
+// runs. The shapes are §VII IDUE, splitUE (planes and two skip runs in
+// every word), an all-planes 1,032-bit report whose last word has
+// IDUE-PS's 8 live lanes, words with 0, 1, 8 and 64 live lanes side by
+// side, and an all-skip plan, whose fill must not touch the plane stream.
 func TestFillReplaysScalar(t *testing.T) {
 	rates := []float64{0.26, 0.31, 0.43, 0.37}
 	setShape := make([]float64, 1032)
@@ -348,12 +383,17 @@ func TestFillReplaysScalar(t *testing.T) {
 			t.Fatalf("lanes-0/1/8/64: word %d has %d live lanes, want %d", wi, got, want)
 		}
 	}
+	skipOnly, err := NewOUE(5, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tails := 0
 	for name, u := range map[string]*UE{
 		"§VII":           sectionVII(t),
 		"split-1032":     splitUE(t, 1032),
 		"ps-1032":        fromB(setShape),
 		"lanes-0/1/8/64": mixed,
+		"skip-oue5-200":  skipOnly,
 	} {
 		words := (u.Bits() + 63) / 64
 		w, want := make([]uint64, words), make([]uint64, words)
@@ -365,11 +405,14 @@ func TestFillReplaysScalar(t *testing.T) {
 			u.fill(r, w)
 
 			clear(want)
-			for wi := range u.planes {
-				var tail int
-				want[wi], tail = replayWord(u, wi, twin.Uint64)
-				if tail > 0 {
-					tails++
+			if u.planes != nil {
+				g := newRefPlanes(twin)
+				for wi := range u.planes {
+					var tail int
+					want[wi], tail = replayWord(u, wi, g.draw)
+					if tail > 0 {
+						tails++
+					}
 				}
 			}
 			for _, run := range u.skips {

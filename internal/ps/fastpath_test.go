@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,18 +79,73 @@ func TestSetMechPerturbIntoMatchesPerturb(t *testing.T) {
 }
 
 // TestValidateSetLargeSet exercises the map-based branch of validateSet
-// (sets larger than the quadratic-scan cutoff).
+// (domains larger than the stack bitmap covers).
 func TestValidateSetLargeSet(t *testing.T) {
 	big := make([]int, 40)
 	for i := range big {
-		big[i] = i
+		big[i] = i * 1000
 	}
-	validateSet(big, 64) // must not panic
-	big[39] = 5          // duplicate
+	validateSet(big, bitmapDomain+1<<20) // must not panic
+	big[39] = 5000                       // duplicate
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate in large set not caught")
 		}
 	}()
-	validateSet(big, 64)
+	validateSet(big, bitmapDomain+1<<20)
+}
+
+// panicOf returns the message fn panics with, "" if it returns.
+func panicOf(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestSampleValidatesWithoutAllocating pins the per-report contract at the
+// §VII IDUE-PS shape, m + ℓ = 1,032: sampling a set of any size Retail
+// holds (0 to 76 items) allocates nothing, and a set with one bad item
+// panics with the message it always did — out of range or duplicate,
+// whichever comes first — at every size, in the bitmap and the map branch.
+func TestSampleValidatesWithoutAllocating(t *testing.T) {
+	const m, ell = 1024, 8
+	r := rng.New(4)
+	for size := 0; size <= 76; size++ {
+		x := make([]int, size)
+		for j := range x {
+			x[j] = (j*389 + 7) % m
+		}
+		if a := testing.AllocsPerRun(50, func() { Sample(x, m, ell, r) }); a != 0 {
+			t.Errorf("|x| = %d: Sample allocates %v times per report", size, a)
+		}
+		for _, dom := range []int{m, bitmapDomain + 1} {
+			bad := append(append([]int(nil), x...), dom)
+			want := fmt.Sprintf("ps: item %d out of range [0,%d)", dom, dom)
+			if got := panicOf(func() { validateSet(bad, dom) }); got != want {
+				t.Errorf("|x| = %d, m = %d: out-of-range panic %q, want %q", size, dom, got, want)
+			}
+			bad[len(bad)-1] = -1
+			want = fmt.Sprintf("ps: item -1 out of range [0,%d)", dom)
+			if got := panicOf(func() { validateSet(bad, dom) }); got != want {
+				t.Errorf("|x| = %d, m = %d: negative-item panic %q, want %q", size, dom, got, want)
+			}
+			if size == 0 {
+				continue
+			}
+			// A repeat of the middle item, then an out-of-range one: the
+			// repeat comes first, so it is the one reported.
+			dup := append(append([]int(nil), x...), x[size/2], dom)
+			want = fmt.Sprintf("ps: duplicate item %d in set", x[size/2])
+			if got := panicOf(func() { validateSet(dup, dom) }); got != want {
+				t.Errorf("|x| = %d, m = %d: duplicate panic %q, want %q", size, dom, got, want)
+			}
+			if got := panicOf(func() { validateSet(x, dom) }); got != "" {
+				t.Errorf("|x| = %d, m = %d: a valid set panicked: %s", size, dom, got)
+			}
+		}
+	}
 }

@@ -47,20 +47,28 @@ func Sample(x []int, m, ell int, r *rng.Source) int {
 	}
 }
 
-// validateSet checks range and uniqueness. Small sets (the common case —
-// padding lengths are single digits) use a quadratic scan so the per-report
-// hot path never allocates; only unusually large sets pay for a map.
+// bitmapDomain is the largest real domain validateSet checks with a bitmap
+// on the stack: 4,096 items, 64 words.
+const bitmapDomain = 4096
+
+// validateSet checks range and uniqueness, panicking at the first item that
+// is out of range or repeats an earlier one. Up to bitmapDomain items it
+// marks each item in a bitmap on the stack, O(|x| + m/64) whatever the
+// set's size, so the per-report path allocates nothing for any set (3% of
+// Retail's baskets hold more than 32 items, up to 76). Only a larger
+// domain pays for a map.
 func validateSet(x []int, m int) {
-	if len(x) <= 32 {
-		for j, i := range x {
+	if m <= bitmapDomain {
+		var seen [bitmapDomain / 64]uint64
+		for _, i := range x {
 			if i < 0 || i >= m {
 				panic(fmt.Sprintf("ps: item %d out of range [0,%d)", i, m))
 			}
-			for _, prev := range x[:j] {
-				if prev == i {
-					panic(fmt.Sprintf("ps: duplicate item %d in set", i))
-				}
+			bit := uint64(1) << uint(i&63)
+			if seen[i>>6]&bit != 0 {
+				panic(fmt.Sprintf("ps: duplicate item %d in set", i))
 			}
+			seen[i>>6] |= bit
 		}
 		return
 	}

@@ -11,14 +11,21 @@
 // allocating, which is what keeps per-user report generation
 // allocation-free in the collection hot loops.
 //
-// The generator is this package's own: PCG is the PCG-DXSM step of
-// math/rand/v2, and a Source holds its state directly rather than a
-// rand.PCG. A seed yields exactly the draws rand.New(rand.NewPCG(..))
-// yields — the tests pin the raw step and every sampling method against
-// the standard library — and owning the step is what lets a hot loop run it
-// on a local copy of the state (Source.State, PCG.Next, Source.SetState):
-// the standard library's costs a call and a round trip through memory per
-// draw.
+// Two generators, one seed. A Source runs PCG-DXSM, the generator of
+// math/rand/v2: a seed yields exactly the draws rand.New(rand.NewPCG(..))
+// yields, which the tests pin for the raw step and every sampling method,
+// so datasets, budgets, solver starts, geometric skips and the keep draws
+// of internal/mech are the standard library's. The one loop that wants
+// many raw words at once — the bit-plane sampler in internal/mech, ~150 a
+// report — instead runs a Xoshiro, a xoshiro256++ generator that
+// Source.Xoshiro seeds from the Source's next two words, one per report,
+// pinned against a transcription of its authors' C. PCG-DXSM costs five
+// multiplies a step; xoshiro256++ costs none, which took a §VII report
+// from ~550 to ~340 ns. (The standard library's other generator, ChaCha8,
+// is no way out: the 16 plane words of that report cost ~270 ns on
+// xoshiro256++ and ~810 on it.) It is the ++ scrambler and not
+// xoshiro256+, whose lowest bits are weak linear functions of the state:
+// the sampler uses every bit of every draw as a lane's next uniform bit.
 package rng
 
 import (
@@ -28,20 +35,14 @@ import (
 	"math/rand/v2"
 )
 
-// PCG is the state of the PCG-DXSM generator every Source runs: the
-// 128-bit LCG and output function of math/rand/v2's rand.PCG, written out
-// here so that the step inlines into a caller's loop. The standard
-// library's is reachable only through a method call per draw with the
-// state in memory, which was over a third of the bit-plane sampler's time
-// in internal/mech. Next takes and returns the state by value, so a caller
-// that loops g, x = g.Next() on a copy taken with Source.State keeps both
-// words in registers for the whole run of draws, and hands the copy back
-// with Source.SetState when it is done.
-type PCG struct{ hi, lo uint64 }
+// pcg is the PCG-DXSM state of a Source: the 128-bit LCG and output
+// function of math/rand/v2's rand.PCG, written out so that Uint64 steps it
+// without a call through rand.PCG.
+type pcg struct{ hi, lo uint64 }
 
-// Next advances the generator one step and returns its uniform 64-bit
+// next advances the generator one step and returns its uniform 64-bit
 // output: state·mul + inc over 128 bits, then DXSM of the new state.
-func (g PCG) Next() (PCG, uint64) {
+func (g pcg) next() (pcg, uint64) {
 	const (
 		mulHi    = 2549297995355413924
 		mulLo    = 4865540595714422341
@@ -53,24 +54,56 @@ func (g PCG) Next() (PCG, uint64) {
 	hi += g.hi*mulLo + g.lo*mulHi
 	lo, c := bits.Add64(lo, incLo, 0)
 	hi, _ = bits.Add64(hi, incHi, c)
-	g = PCG{hi, lo}
+	g = pcg{hi, lo}
 	hi ^= hi >> 32
 	hi *= cheapMul
 	hi ^= hi >> 48
 	return g, hi * (lo | 1)
 }
 
+// Xoshiro is the state of a xoshiro256++ generator (Blackman & Vigna,
+// "Scrambled Linear Pseudorandom Number Generators", ACM TOMS 47(4),
+// 2021): shifts, rotates, xors and two adds a step, no multiply. Next
+// takes and returns the state by value, so a caller that loops
+// x, v = x.Next() keeps the four words in registers for the whole run of
+// draws. The zero value is the one state the generator never leaves;
+// Source.Xoshiro is the way to get a seeded one.
+type Xoshiro struct{ s0, s1, s2, s3 uint64 }
+
+// Next advances the generator one step and returns its uniform 64-bit
+// output, the authors' next() with the state passed by value.
+func (x Xoshiro) Next() (Xoshiro, uint64) {
+	v := bits.RotateLeft64(x.s0+x.s3, 23) + x.s0
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return x, v
+}
+
+// newXoshiro seeds a xoshiro256++ state from two 64-bit words the way its
+// authors prescribe, with SplitMix64 outputs: the first two outputs of a
+// SplitMix64 generator started at a, then the first two of one started at
+// b. Every bit of both words reaches the state, and since SplitMix64's
+// output is a bijection of its state, s0 and s1 are never both zero.
+func newXoshiro(a, b uint64) Xoshiro {
+	return Xoshiro{splitmix64(a), splitmix64(a + golden), splitmix64(b), splitmix64(b + golden)}
+}
+
 // Source is a seeded pseudo-random source. It owns its generator — g is
 // the whole state, and r is a rand.Rand drawing from the Source itself, so
-// Uint64, the State/SetState hand-off and every distribution math/rand/v2
-// supplies (Float64, IntN, ExpFloat64, ...) consume one stream. That stream
-// is rand.New(rand.NewPCG(s1, s2))'s, draw for draw: the package's tests
-// pin PCG.Next against rand.PCG.Uint64 and every sampling method against a
+// Uint64, Xoshiro and every distribution math/rand/v2 supplies (Float64,
+// IntN, ExpFloat64, ...) consume one stream. That stream is
+// rand.New(rand.NewPCG(s1, s2))'s, draw for draw: the package's tests pin
+// the step against rand.PCG.Uint64 and every sampling method against a
 // standard-library twin. A Source is not safe for concurrent use; use Split
 // to hand each goroutine its own stream.
 type Source struct {
 	r *rand.Rand
-	g PCG
+	g pcg
 	// seeds retained so Split can derive independent streams.
 	s1, s2 uint64
 }
@@ -91,16 +124,17 @@ func (s *Source) Reseed(seed uint64) {
 	// nearby seeds (0, 1, 2, ...) yield unrelated streams.
 	s.s1 = splitmix64(seed)
 	s.s2 = splitmix64(s.s1)
-	s.g = PCG{hi: s.s1, lo: s.s2}
+	s.g = pcg{hi: s.s1, lo: s.s2}
 }
 
-// State returns a copy of the generator for a run of PCG.Next draws on a
-// local. Until SetState hands the copy back the Source still stands where
-// it was, so the caller must store before anything else draws from it.
-func (s *Source) State() PCG { return s.g }
-
-// SetState moves the Source to g, a copy taken with State and advanced.
-func (s *Source) SetState(g PCG) { s.g = g }
+// Xoshiro returns a xoshiro256++ generator seeded from the Source's next
+// two words, which it consumes like two Uint64 calls. Deriving one per
+// report gives every report its own stream for the draws it takes in
+// bulk, while the Source moves on exactly two words.
+func (s *Source) Xoshiro() Xoshiro {
+	a := s.Uint64()
+	return newXoshiro(a, s.Uint64())
+}
 
 // Split derives an independent Source identified by label. Splitting the
 // same parent with the same label always yields the same child stream,
@@ -115,7 +149,7 @@ func (s *Source) Split(label string) *Source {
 // the integer-labelled counterpart of Split, used to give each simulated
 // user or worker goroutine its own stream.
 func (s *Source) SplitN(i int) *Source {
-	return New(s.s1 ^ splitmix64(s.s2+uint64(i)*0x9e3779b97f4a7c15+1))
+	return New(s.s1 ^ splitmix64(s.s2+uint64(i)*golden+1))
 }
 
 // SplitNInto resets child in place to the stream SplitN(i) would return.
@@ -124,11 +158,16 @@ func (s *Source) SplitN(i int) *Source {
 // re-points it at each user's stream. child must not be s itself (the
 // derivation reads s's retained seeds, which Reseed overwrites).
 func (s *Source) SplitNInto(i int, child *Source) {
-	child.Reseed(s.s1 ^ splitmix64(s.s2+uint64(i)*0x9e3779b97f4a7c15+1))
+	child.Reseed(s.s1 ^ splitmix64(s.s2+uint64(i)*golden+1))
 }
 
+// golden is SplitMix64's increment, 2⁶⁴/φ rounded to odd.
+const golden = 0x9e3779b97f4a7c15
+
+// splitmix64 is the output of a SplitMix64 generator whose state was x:
+// it advances x by golden and mixes the result.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += golden
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -146,9 +185,9 @@ func (s *Source) IntN(n int) int { return s.r.IntN(n) }
 // Uint64 returns a uniform 64-bit value: one step of the generator. It is
 // also the rand.Source method s.r draws through. A loop that wants many —
 // the bit-plane sampler in internal/mech draws ~150 per report — runs them
-// on a State copy instead.
+// on a Xoshiro instead.
 func (s *Source) Uint64() (x uint64) {
-	s.g, x = s.g.Next()
+	s.g, x = s.g.next()
 	return x
 }
 

@@ -22,25 +22,37 @@ func pcgTwin(seed uint64) *rand.PCG {
 	return rand.NewPCG(splitmix64(seed), splitmix64(splitmix64(seed)))
 }
 
-// TestUint64SharesTheRandStream pins that the three ways to draw — Uint64,
-// a run of PCG.Next steps on a State copy handed back with SetState, and
-// the methods that go through rand.Rand — consume one stream, and that it
-// is math/rand/v2's: interleaved in any order they match a plain
-// rand.New(rand.NewPCG(..)) twin, also after a Reseed and on a child
-// re-pointed by SplitNInto (which must leave the parent where it was).
+// twinXoshiro is Source.Xoshiro done by hand on a standard-library twin:
+// two twin words, each the start of a SplitMix64 generator that supplies
+// two state words (splitmixC's outputs, not the package's splitmix64).
+func twinXoshiro(twin *rand.Rand) *xoshiroC {
+	a, b := twin.Uint64(), twin.Uint64()
+	var x xoshiroC
+	x.s[0], x.s[1] = splitmixC(&a), splitmixC(&a)
+	x.s[2], x.s[3] = splitmixC(&b), splitmixC(&b)
+	return &x
+}
+
+// TestUint64SharesTheRandStream pins that the ways to draw — Uint64, the
+// derivation of a Xoshiro, and the methods that go through rand.Rand —
+// consume one stream, and that it is math/rand/v2's: interleaved in any
+// order they match a plain rand.New(rand.NewPCG(..)) twin, also after a
+// Reseed and on a child re-pointed by SplitNInto (which must leave the
+// parent where it was). Each derivation costs exactly two twin words and
+// yields the generator the twin's two words seed by hand.
 func TestUint64SharesTheRandStream(t *testing.T) {
 	const seed = 20200420
-	// handOff takes the state, draws k and stores back, against k twin draws.
-	handOff := func(where string, s *Source, twin *rand.Rand, k int) {
+	// derive takes a Xoshiro from s and draws k from it, against the
+	// reference generator seeded from the twin's next two words.
+	derive := func(where string, s *Source, twin *rand.Rand, k int) {
 		t.Helper()
-		g := s.State()
+		g, ref := s.Xoshiro(), twinXoshiro(twin)
 		for d := 0; d < k; d++ {
 			var got uint64
-			if g, got = g.Next(); got != twin.Uint64() {
-				t.Fatalf("%s: draw %d of a %d-draw hand-off left the twin's stream", where, d, k)
+			if g, got = g.Next(); got != ref.next() {
+				t.Fatalf("%s: draw %d of a %d-draw derivation left the reference stream", where, d, k)
 			}
 		}
-		s.SetState(g)
 	}
 	s, child := New(seed), New(0)
 	twinPCG := pcgTwin(seed)
@@ -67,13 +79,13 @@ func TestUint64SharesTheRandStream(t *testing.T) {
 				}
 			case 5:
 				// 0, 1 and the sampler's 9-to-150-draw runs.
-				handOff(where, s, twin, []int{0, 1, 9, 150}[i/7%4])
+				derive(where, s, twin, []int{0, 1, 9, 150}[i/7%4])
 			case 6:
 				s.SplitNInto(i, child)
 				childTwin := rand.New(pcgTwin(s.s1 ^ splitmix64(s.s2+uint64(i)*0x9e3779b97f4a7c15+1)))
-				handOff(where+" (child)", child, childTwin, 12)
+				derive(where+" (child)", child, childTwin, 12)
 				if got, want := child.Float64(), childTwin.Float64(); got != want {
-					t.Fatalf("%s: child Float64 %v after the hand-off, twin %v", where, got, want)
+					t.Fatalf("%s: child Float64 %v after the derivation, twin %v", where, got, want)
 				}
 			}
 		}
@@ -87,11 +99,59 @@ func TestUint64SharesTheRandStream(t *testing.T) {
 // never touching a Source in between.
 func TestPCGNextMatchesStdlib(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
-		g, std := New(seed*0x9e3779b97f4a7c15).State(), pcgTwin(seed*0x9e3779b97f4a7c15)
+		g, std := New(seed*0x9e3779b97f4a7c15).g, pcgTwin(seed*0x9e3779b97f4a7c15)
 		for i := 0; i < 100000; i++ {
 			var got uint64
-			if g, got = g.Next(); got != std.Uint64() {
-				t.Fatalf("seed %d draw %d: PCG.Next left rand.PCG's stream", seed, i)
+			if g, got = g.next(); got != std.Uint64() {
+				t.Fatalf("seed %d draw %d: pcg.next left rand.PCG's stream", seed, i)
+			}
+		}
+	}
+}
+
+// xoshiroC and splitmixC transcribe the reference C of xoshiro256++ and
+// SplitMix64 (prng.di.unimi.it) literally — array state, rotl written out,
+// the seed generator's state advanced through a pointer — as the oracle
+// the by-value Xoshiro and its seeding are pinned against.
+type xoshiroC struct{ s [4]uint64 }
+
+func rotlC(x uint64, k int) uint64 { return (x << k) | (x >> (64 - k)) }
+
+func (x *xoshiroC) next() uint64 {
+	s := &x.s
+	result := rotlC(s[0]+s[3], 23) + s[0]
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = rotlC(s[3], 45)
+	return result
+}
+
+func splitmixC(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// TestXoshiroMatchesReference pins the by-value step and the seeding
+// against the C transcription: 10⁵ draws from each of ten seeds, the
+// generator seeded as Source.Xoshiro seeds it from two words.
+func TestXoshiroMatchesReference(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		a, b := seed*0x9e3779b97f4a7c15, ^seed
+		g := newXoshiro(a, b)
+		var ref xoshiroC
+		ref.s[0], ref.s[1] = splitmixC(&a), splitmixC(&a)
+		ref.s[2], ref.s[3] = splitmixC(&b), splitmixC(&b)
+		for i := 0; i < 100000; i++ {
+			var got uint64
+			if g, got = g.Next(); got != ref.next() {
+				t.Fatalf("seed %d draw %d: Xoshiro.Next left the reference stream", seed, i)
 			}
 		}
 	}

@@ -442,6 +442,10 @@ const (
 	snapshotVersion    = 9
 	maxSnapshotMetrics = 1 << 16
 	maxSnapshotName    = 1 << 12
+	// minSnapshotMetric is the fewest bytes a packed metric takes: a
+	// counter with a one-byte name and no labels — kind, name length,
+	// name, label length, value.
+	minSnapshotMetric = 5
 )
 
 // Pack serializes the snapshot. The encoding is deterministic for a
@@ -495,22 +499,25 @@ type snapReader struct {
 	pos int
 }
 
+// uvarint reads a varint as Pack writes it: minimal, so that an accepted
+// payload packs back to the bytes it was read from. A longer encoding of
+// the same value (a last byte of zero after continuation bytes) errors.
 func (r *snapReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("telemetry: truncated snapshot at byte %d", r.pos)
+	}
+	if n > 1 && r.b[r.pos+n-1] == 0 {
+		return 0, fmt.Errorf("telemetry: overlong varint at byte %d", r.pos)
 	}
 	r.pos += n
 	return v, nil
 }
 
 func (r *snapReader) varint() (int64, error) {
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("telemetry: truncated snapshot at byte %d", r.pos)
-	}
-	r.pos += n
-	return v, nil
+	ux, err := r.uvarint()
+	// Varint's zigzag decoding, on a uvarint checked for length.
+	return int64(ux>>1) ^ -int64(ux&1), err
 }
 
 func (r *snapReader) bytes(n uint64) ([]byte, error) {
@@ -526,6 +533,9 @@ func (r *snapReader) bytes(n uint64) ([]byte, error) {
 // ordering, and names — a malformed or hostile payload errors rather
 // than polluting the exposition page. (Snapshots ride heartbeats under
 // the fleet HMAC, so this is defense in depth, not the auth boundary.)
+// It accepts only what Pack writes, byte for byte, and no count it reads
+// sizes more than the payload can back; FuzzUnpackSnapshot holds it to
+// both.
 func UnpackSnapshot(b []byte) (*Snapshot, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("telemetry: empty snapshot payload")
@@ -540,6 +550,12 @@ func UnpackSnapshot(b []byte) (*Snapshot, error) {
 	}
 	if n > maxSnapshotMetrics {
 		return nil, fmt.Errorf("telemetry: snapshot claims %d metrics (max %d)", n, maxSnapshotMetrics)
+	}
+	// The count sizes the metrics slice, so it may not claim more metrics
+	// than the payload could hold: a 4-byte payload claiming 65,536 would
+	// otherwise allocate 4 MB before its first metric failed to parse.
+	if n > uint64(len(r.b)-r.pos)/minSnapshotMetric {
+		return nil, fmt.Errorf("telemetry: snapshot claims %d metrics in %d bytes", n, len(r.b)-r.pos)
 	}
 	s := &Snapshot{Metrics: make([]SnapMetric, 0, n)}
 	prevKey := ""
@@ -625,10 +641,12 @@ func UnpackSnapshot(b []byte) (*Snapshot, error) {
 				if gap == 0 {
 					return nil, fmt.Errorf("telemetry: non-ascending histogram bucket index")
 				}
-				ix := prev + int(gap)
-				if ix >= histBuckets {
-					return nil, fmt.Errorf("telemetry: histogram bucket index %d out of range", ix)
+				// Compared as a uint64 before it becomes an int: a gap of
+				// 2⁶⁴−1 would otherwise step back to a negative index.
+				if gap > uint64(histBuckets-1-prev) {
+					return nil, fmt.Errorf("telemetry: histogram bucket gap %d past the last bucket", gap)
 				}
+				ix := prev + int(gap)
 				v, err := r.uvarint()
 				if err != nil {
 					return nil, err
