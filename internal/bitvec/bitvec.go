@@ -28,6 +28,13 @@
 //   - Drain. Planes become ordinary int64 counts eight planes at a time:
 //     a shift and a byte mask line up eight counters' bits in the eight
 //     byte lanes of a word, and each plane contributes its weight.
+//   - Adding two folds. Two sets of planes add without being expanded
+//     into counts: a ripple-carry adder runs up the planes of each
+//     column, 64 counters at a time, and stops at the last plane the
+//     smaller fold uses once its carry is gone (AddLanes). A 64-report
+//     fold adds in a few hundred word operations, several times less
+//     than draining it, which is how a batch travels from a producer to
+//     the shard that keeps it (internal/server).
 package bitvec
 
 import (
@@ -197,18 +204,26 @@ func (v *Vector) MutableWords() []uint64 { return v.words }
 // checkWords is the validation every raw-words entry point shares: the
 // word count must match length n and no padding bit beyond n may be set.
 func checkWords(words []uint64, n int) error {
+	var last uint64
+	if len(words) > 0 {
+		last = words[len(words)-1]
+	}
+	return checkShape(len(words), last, n)
+}
+
+// checkShape is checkWords given only the word count and the last word,
+// which is all it looks at — so reports still in their wire bytes
+// (Lanes.AddBytes) are checked by the same routine.
+func checkShape(count int, last uint64, n int) error {
 	if n < 0 {
 		return fmt.Errorf("bitvec: negative length %d", n)
 	}
 	want := (n + 63) / 64
-	if len(words) != want {
-		return fmt.Errorf("bitvec: got %d words for length %d, want %d", len(words), n, want)
+	if count != want {
+		return fmt.Errorf("bitvec: got %d words for length %d, want %d", count, n, want)
 	}
-	if n%64 != 0 && want > 0 {
-		mask := ^uint64(0) << uint(n%64)
-		if words[want-1]&mask != 0 {
-			return fmt.Errorf("bitvec: padding bits set beyond length %d", n)
-		}
+	if n%64 != 0 && want > 0 && last&(^uint64(0)<<uint(n%64)) != 0 {
+		return fmt.Errorf("bitvec: padding bits set beyond length %d", n)
 	}
 	return nil
 }

@@ -57,12 +57,30 @@ func foldLanes(l *bitvec.Lanes, reports [][]uint64, bits, batch int, counts []in
 	l.Drain(counts)
 }
 
+// addLanes sums reports the way a batcher and its shard do: fold a
+// batch, hand the fold to an accumulator (AddLanes), and drain the
+// accumulator into counts once at the end.
+func addLanes(l, acc *bitvec.Lanes, reports [][]uint64, bits, batch int, counts []int64) {
+	for i, w := range reports {
+		if err := l.AddWords(w, bits, counts); err != nil {
+			panic(err)
+		}
+		if (i+1)%batch == 0 {
+			acc.AddLanes(l, counts)
+		}
+	}
+	acc.AddLanes(l, counts)
+	acc.Drain(counts)
+}
+
 // BenchmarkFold compares the scalar per-set-bit fold with the lane fold
-// (one op = one report) and asserts the floor the batch runtime is
-// built on: at batch 256 the lanes are at least 3× the scalar loop
-// (measured ~9×).
+// (one op = one report), draining each batch or adding it into an
+// accumulator, and asserts the two floors the batch runtime is built
+// on: at batch 256 the lanes are at least 3× the scalar loop (measured
+// ~9×), and adding a 64-report fold into an accumulator is at least 3×
+// cheaper than draining it (measured ~7×).
 func BenchmarkFold(b *testing.B) {
-	const pool = 4096
+	const pool, handoff = 4096, 64
 	reports, bits := foldReports(b, pool)
 	counts := make([]int64, bits)
 	b.Run("scalar", func(b *testing.B) {
@@ -70,7 +88,7 @@ func BenchmarkFold(b *testing.B) {
 			foldScalar(reports[:min(pool, b.N-i)], bits, counts)
 		}
 	})
-	l := bitvec.NewLanes(bits)
+	l, acc := bitvec.NewLanes(bits), bitvec.NewLanes(bits)
 	for _, batch := range []int{64, 256} {
 		b.Run(fmt.Sprintf("lanes/batch=%d", batch), func(b *testing.B) {
 			for i := 0; i < b.N; i += pool {
@@ -78,22 +96,61 @@ func BenchmarkFold(b *testing.B) {
 			}
 		})
 	}
+	b.Run(fmt.Sprintf("lanes-add/batch=%d", handoff), func(b *testing.B) {
+		for i := 0; i < b.N; i += pool {
+			addLanes(l, acc, reports[:min(pool, b.N-i)], bits, handoff, counts)
+		}
+	})
 
-	// The floor is timed on whole pools (best of five), independent of
-	// -benchtime, so the 1x bench smoke in CI asserts it too.
-	best := func(fold func()) time.Duration {
+	// The floors are timed on whole pools (best of five), independent of
+	// -benchtime, so the 1x bench smoke in CI asserts them too.
+	best := func(setup, fold func()) time.Duration {
 		d := time.Duration(1<<63 - 1)
 		for rep := 0; rep < 5; rep++ {
+			setup()
 			start := time.Now()
 			fold()
 			d = min(d, time.Since(start))
 		}
 		return d
 	}
-	scalar := best(func() { foldScalar(reports, bits, counts) })
-	lanes := best(func() { foldLanes(l, reports, bits, 256, counts) })
+	none := func() {}
+	scalar := best(none, func() { foldScalar(reports, bits, counts) })
+	lanes := best(none, func() { foldLanes(l, reports, bits, 256, counts) })
 	if ratio := float64(scalar) / float64(lanes); ratio < 3 {
 		b.Fatalf("lane fold is %.1f× the scalar fold at batch 256 (%v vs %v per %d reports), want ≥ 3×",
 			ratio, lanes, scalar, pool)
+	}
+
+	// The hand-off floor: the pool as 64 folds of 64 reports each, either
+	// added one by one into an accumulator or drained one by one.
+	folds := make([]*bitvec.Lanes, pool/handoff)
+	for i := range folds {
+		folds[i] = bitvec.NewLanes(bits)
+	}
+	refill := func() {
+		acc.Drain(counts)
+		for i, f := range folds {
+			f.Reset()
+			for _, w := range reports[i*handoff : (i+1)*handoff] {
+				if err := f.AddWords(w, bits, counts); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	add := best(refill, func() {
+		for _, f := range folds {
+			acc.AddLanes(f, counts)
+		}
+	})
+	drain := best(refill, func() {
+		for _, f := range folds {
+			f.Drain(counts)
+		}
+	})
+	if ratio := float64(drain) / float64(add); ratio < 3 {
+		b.Fatalf("adding a %d-report fold costs %v, draining it %v: %.1f×, want ≥ 3×",
+			handoff, add/time.Duration(len(folds)), drain/time.Duration(len(folds)), ratio)
 	}
 }

@@ -1,6 +1,10 @@
 package bitvec
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+)
 
 const (
 	// laneRows is the block size: reports are staged until laneRows of
@@ -18,9 +22,10 @@ const (
 // Lanes is the bit-sliced ("vertical counter") batch fold: it sums many
 // n-bit reports into per-bit counts at a few word operations per report
 // word instead of one step per set bit (see the package comment for the
-// layout). Reports are staged by AddWords, folded into the planes a
-// block at a time, and turned back into ordinary counts by Drain. A
-// Lanes is single-goroutine and allocates only in NewLanes.
+// layout). Reports are staged by AddWords or AddBytes, folded into the
+// planes a block at a time, moved into another fold by AddLanes, and
+// turned back into ordinary counts by Drain. A Lanes is single-goroutine
+// and allocates only in NewLanes.
 type Lanes struct {
 	n     int // report length in bits
 	words int // (n+63)/64
@@ -63,18 +68,60 @@ func (l *Lanes) Pending() int { return l.folded + l.staged }
 // pass the accumulator they will later hand to Drain, and nothing is
 // written to it before that point.
 func (l *Lanes) AddWords(words []uint64, n int, counts []int64) error {
+	var last uint64
+	if len(words) > 0 {
+		last = words[len(words)-1]
+	}
+	if err := l.check(len(words), last, n, counts); err != nil {
+		return err
+	}
+	for w, x := range words {
+		l.stage[w*laneRows+l.staged] = x
+	}
+	l.stageDone(counts)
+	return nil
+}
+
+// AddBytes is AddWords for a report whose words are still in their wire
+// form: 8 little-endian bytes per word, as a network frame carries them.
+// It validates with the same routine, so the two accept and refuse the
+// same reports with the same errors, and stages straight from p.
+func (l *Lanes) AddBytes(p []byte, n int, counts []int64) error {
+	if len(p)%8 != 0 {
+		return fmt.Errorf("bitvec: %d bytes is not a whole number of words", len(p))
+	}
+	count := len(p) / 8
+	var last uint64
+	if count > 0 {
+		last = binary.LittleEndian.Uint64(p[len(p)-8:])
+	}
+	if err := l.check(count, last, n, counts); err != nil {
+		return err
+	}
+	for w := 0; w < count; w++ {
+		l.stage[w*laneRows+l.staged] = binary.LittleEndian.Uint64(p[8*w:])
+	}
+	l.stageDone(counts)
+	return nil
+}
+
+// check is the validation AddWords and AddBytes share.
+func (l *Lanes) check(count int, last uint64, n int, counts []int64) error {
 	if n != l.n {
 		return fmt.Errorf("bitvec: report has %d bits, lanes have %d", n, l.n)
 	}
-	if err := checkWords(words, n); err != nil {
+	if err := checkShape(count, last, n); err != nil {
 		return err
 	}
 	if len(counts) < n {
 		return fmt.Errorf("bitvec: counts has %d entries for length %d", len(counts), n)
 	}
-	for w, x := range words {
-		l.stage[w*laneRows+l.staged] = x
-	}
+	return nil
+}
+
+// stageDone counts the report just staged and folds the block once it
+// is full, spilling into counts before the planes could pass LaneCap.
+func (l *Lanes) stageDone(counts []int64) {
 	l.staged++
 	if l.staged == laneRows {
 		l.foldBlock()
@@ -82,7 +129,6 @@ func (l *Lanes) AddWords(words []uint64, n int, counts []int64) error {
 			l.drainPlanes(counts)
 		}
 	}
-	return nil
 }
 
 // Drain adds every held report into counts (counts[i] += number of held
@@ -93,18 +139,72 @@ func (l *Lanes) Drain(counts []int64) {
 	if len(counts) < l.n {
 		panic("bitvec: counts shorter than lanes")
 	}
-	if l.staged > 0 {
-		// A partial block goes through the same kernel with its missing
-		// rows zeroed: adding zero rows changes no counter, so there is
-		// no second, scalar tail path to keep equal to the first.
-		for w := 0; w < l.words; w++ {
-			clear(l.stage[w*laneRows+l.staged : (w+1)*laneRows])
-		}
-		l.foldBlock()
-	}
+	l.foldPartial()
 	if l.folded > 0 {
 		l.drainPlanes(counts)
 	}
+}
+
+// AddLanes moves every report o holds into l without expanding either
+// fold into counts, and leaves o empty. The planes add column by column
+// with a ripple-carry adder; l drains into counts first only if the sum
+// could pass LaneCap (and again after, if o alone left no room for a
+// staged block), so counts plays the part it plays in AddWords. Both
+// folds must be for the same report length; it panics otherwise.
+func (l *Lanes) AddLanes(o *Lanes, counts []int64) {
+	if o.n != l.n {
+		panic(fmt.Sprintf("bitvec: adding %d-bit lanes to %d-bit lanes", o.n, l.n))
+	}
+	o.foldPartial()
+	if o.folded == 0 {
+		return
+	}
+	if l.folded+o.folded > LaneCap {
+		l.drainPlanes(counts)
+	}
+	// Every counter of o is at most o.folded, so o uses its low top planes
+	// only; and every sum is at most LaneCap, so the carry dies before
+	// running off l's top plane.
+	top := bits.Len(uint(o.folded))
+	for w := 0; w < l.words; w++ {
+		p := (*[lanePlanes]uint64)(l.planes[w*lanePlanes:])
+		q := (*[lanePlanes]uint64)(o.planes[w*lanePlanes:])
+		var carry uint64
+		i := 0
+		for ; i < top; i++ {
+			a, b := p[i], q[i]
+			u := a ^ b
+			p[i], carry = u^carry, a&b|u&carry
+			q[i] = 0
+		}
+		for ; carry != 0 && i < lanePlanes; i++ {
+			p[i], carry = p[i]^carry, p[i]&carry
+		}
+	}
+	l.folded += o.folded
+	o.folded = 0
+	if l.folded > LaneCap-laneRows {
+		l.drainPlanes(counts)
+	}
+}
+
+// Reset empties the fold, dropping whatever it held.
+func (l *Lanes) Reset() {
+	clear(l.planes)
+	l.folded, l.staged = 0, 0
+}
+
+// foldPartial folds a partial block through the same kernel with its
+// missing rows zeroed: adding zero rows changes no counter, so there is
+// no second, scalar tail path to keep equal to the first.
+func (l *Lanes) foldPartial() {
+	if l.staged == 0 {
+		return
+	}
+	for w := 0; w < l.words; w++ {
+		clear(l.stage[w*laneRows+l.staged : (w+1)*laneRows])
+	}
+	l.foldBlock()
 }
 
 // csa is a carry-save adder over 64 independent bit columns: for each

@@ -1,6 +1,8 @@
 package bitvec
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -97,6 +99,107 @@ func TestLanesPastPlaneCap(t *testing.T) {
 			}
 		}
 	}
+
+	// Adding folds crosses the cap too: an accumulator near LaneCap takes
+	// a fold that would carry its counters past the top plane, so it must
+	// spill into counts first. At density 1 every counter of the sum is
+	// past 2^16, so a skipped spill loses the carry and fails here.
+	for _, n := range []int{3, 70} {
+		for _, density := range []float64{1.0, 0.27} {
+			acc, add := NewLanes(n), NewLanes(n)
+			got, want := make([]int64, n), make([]int64, n)
+			fill := func(l *Lanes, reports int) {
+				for r := 0; r < reports; r++ {
+					words := randomWords(rnd, n, density)
+					if err := l.AddWords(words, n, got); err != nil {
+						t.Fatal(err)
+					}
+					_ = AccumulateWordsInto(words, n, want)
+				}
+			}
+			fill(acc, LaneCap-2*laneRows) // stays in the planes
+			fill(add, 3*laneRows+5)       // a partial block too
+			if acc.Pending()+add.Pending() <= LaneCap {
+				t.Fatalf("the sum (%d) does not cross the cap", acc.Pending()+add.Pending())
+			}
+			acc.AddLanes(add, got)
+			if add.Pending() != 0 {
+				t.Fatalf("AddLanes left %d reports in its argument", add.Pending())
+			}
+			if acc.Pending() > LaneCap-laneRows {
+				t.Fatalf("accumulator holds %d reports after AddLanes, want <= %d", acc.Pending(), LaneCap-laneRows)
+			}
+			acc.Drain(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("n=%d density=%v: lanes != scalar after an add across the plane cap", n, density)
+			}
+		}
+	}
+}
+
+// TestAddBytesMatchesAddWords: a report staged from its wire bytes folds
+// to the same counts as the same report staged from words, and a report
+// either entry point refuses is refused by both with the same error.
+func TestAddBytesMatchesAddWords(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4))
+	for _, n := range []int{1, 8, 64, 70, 1024} {
+		fromWords, fromBytes := NewLanes(n), NewLanes(n)
+		a, b := make([]int64, n), make([]int64, n)
+		for r := 0; r < 40; r++ {
+			words := slices.Clone(randomWords(rnd, n, 0.3))
+			if r%5 == 0 && n%64 != 0 {
+				words[len(words)-1] |= 1 << 63 // a padding bit
+			}
+			var wire []byte
+			for _, w := range words {
+				wire = binary.LittleEndian.AppendUint64(wire, w)
+			}
+			errW := fromWords.AddWords(words, n, a)
+			errB := fromBytes.AddBytes(wire, n, b)
+			if fmt.Sprint(errW) != fmt.Sprint(errB) {
+				t.Fatalf("n=%d: AddWords error %v, AddBytes error %v", n, errW, errB)
+			}
+			if err := fromBytes.AddBytes(wire[:len(wire)-8], n, b); err == nil {
+				t.Fatalf("n=%d: a report one word short was accepted", n)
+			}
+		}
+		if err := fromBytes.AddBytes(make([]byte, 8*((n+63)/64)+3), n, b); err == nil {
+			t.Fatalf("n=%d: a ragged byte count was accepted", n)
+		}
+		if err := fromBytes.AddBytes(make([]byte, 8*((n+63)/64)), n+1, b); err == nil {
+			t.Fatalf("n=%d: a report for another length was accepted", n)
+		}
+		fromWords.Drain(a)
+		fromBytes.Drain(b)
+		if !slices.Equal(a, b) {
+			t.Fatalf("n=%d: AddBytes and AddWords fold different counts", n)
+		}
+	}
+}
+
+// TestResetEmptiesTheFold: a reset fold holds nothing, whatever it held.
+func TestResetEmptiesTheFold(t *testing.T) {
+	const n = 70
+	l := NewLanes(n)
+	counts := make([]int64, n)
+	for r := 0; r < 37; r++ {
+		if err := l.AddWords(OneHot(n, r).Words(), n, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Reset()
+	if l.Pending() != 0 {
+		t.Fatalf("Pending = %d after Reset", l.Pending())
+	}
+	if err := l.AddWords(OneHot(n, 5).Words(), n, counts); err != nil {
+		t.Fatal(err)
+	}
+	l.Drain(counts)
+	want := make([]int64, n)
+	want[5] = 1
+	if !slices.Equal(counts, want) {
+		t.Fatalf("counts after Reset and one report: %v", counts)
+	}
 }
 
 // TestLanesRejects: a report the scalar reference rejects is rejected
@@ -163,17 +266,24 @@ func TestLanesZeroAllocs(t *testing.T) {
 
 // FuzzLanesFold drives the fold with fuzzer-chosen geometry and bits and
 // compares it with the scalar reference; data is consumed as report
-// words and recycled when it runs out.
+// words and recycled when it runs out. The stream is split at a point
+// the seeds choose into two folds, and the second is added into the
+// first (AddLanes) before the drain, which must not change the sum.
 func FuzzLanesFold(f *testing.F) {
 	f.Add(uint16(5), uint16(3), []byte{0x15}) // more seeds in testdata/fuzz/FuzzLanesFold
 	f.Fuzz(func(t *testing.T, bitsSeed, batchSeed uint16, data []byte) {
 		n := int(bitsSeed % 300)
 		batch := int(batchSeed % 600)
-		l := NewLanes(n)
+		split := int(bitsSeed^batchSeed) % (batch + 1)
+		first, second := NewLanes(n), NewLanes(n)
 		got, want := make([]int64, n), make([]int64, n)
 		words := make([]uint64, (n+63)/64)
 		at := 0
 		for r := 0; r < batch; r++ {
+			l := first
+			if r >= split {
+				l = second
+			}
 			for w := range words {
 				var x uint64
 				for k := 0; k < 8 && len(data) > 0; k++ {
@@ -193,9 +303,14 @@ func FuzzLanesFold(f *testing.F) {
 				t.Fatalf("n=%d: lanes error %v, scalar error %v", n, err, ref)
 			}
 		}
-		l.Drain(got)
+		held := first.Pending() + second.Pending()
+		first.AddLanes(second, got)
+		if second.Pending() != 0 || first.Pending() > held {
+			t.Fatalf("n=%d: after AddLanes the folds hold %d + %d of %d", n, first.Pending(), second.Pending(), held)
+		}
+		first.Drain(got)
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d batch=%d: lanes != scalar", n, batch)
+			t.Fatalf("n=%d batch=%d split=%d: lanes != scalar", n, batch, split)
 		}
 	})
 }

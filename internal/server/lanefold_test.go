@@ -168,9 +168,11 @@ func TestBatchTargetAbovePlaneCap(t *testing.T) {
 }
 
 // TestRecycledFramesNeverLeak: acked ingest flushes every few reports,
-// so frames cycle batcher → shard → free list → batcher constantly. A
-// recycled frame must come back empty: total and per-bit sums over many
-// small flushes equal the reference, and the frames really are reused.
+// so folds and frames cycle batcher → shard → free list → batcher
+// constantly. Every third flush also carries a pre-summed report, so it
+// ships a counts frame; the others hand off their fold. A recycled fold
+// or frame must come back empty: total and per-bit sums over many small
+// flushes equal the reference, and both really are reused.
 func TestRecycledFramesNeverLeak(t *testing.T) {
 	const m, producers, flushes = 130, 3, 4000
 	s, err := New(m, WithShards(1))
@@ -186,26 +188,45 @@ func TestRecycledFramesNeverLeak(t *testing.T) {
 			defer wg.Done()
 			b := s.NewBlockingBatcher()
 			mine := reports[p*flushes*2 : (p+1)*flushes*2]
-			distinct := map[*int64]bool{}
-			for len(mine) > 0 {
+			frames, folds := map[*int64]bool{}, map[*bitvec.Lanes]bool{}
+			var frameFlushes, foldFlushes int
+			for flush := 0; len(mine) > 0; flush++ {
 				k := 1 + len(mine)%3 // 1–3 reports per flush
 				k = min(k, len(mine))
-				for _, v := range mine[:k] {
-					if err := b.AddWords(v.Words(), v.Len()); err != nil {
+				for i, v := range mine[:k] {
+					var err error
+					if i == 0 && flush%3 == 0 {
+						one := make([]int64, m)
+						v.AccumulateInto(one)
+						err = b.AddCounts(one, 1)
+					} else {
+						err = b.AddWords(v.Words(), v.Len())
+					}
+					if err != nil {
 						t.Error(err)
 						return
 					}
 				}
 				mine = mine[k:]
-				distinct[&b.counts[0]] = true
+				if flush%3 == 0 {
+					frames[&b.counts[0]] = true
+					frameFlushes++
+				} else {
+					folds[b.lanes] = true
+					foldFlushes++
+				}
 				if err := b.Flush(); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			if len(distinct) > flushes/2 {
-				t.Errorf("producer %d filled %d distinct frames over ~%d flushes: frames are not being recycled",
-					p, len(distinct), flushes)
+			if len(frames) > frameFlushes/2 {
+				t.Errorf("producer %d filled %d distinct frames over %d frame flushes: frames are not being recycled",
+					p, len(frames), frameFlushes)
+			}
+			if len(folds) > foldFlushes/2 {
+				t.Errorf("producer %d handed off %d distinct folds over %d fold flushes: folds are not being recycled",
+					p, len(folds), foldFlushes)
 			}
 		}(p)
 	}

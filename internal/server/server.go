@@ -15,16 +15,22 @@
 //     tree per 64-bit word column into vertical counters, so the
 //     per-report cost is a few word operations per report word — not one
 //     step per set bit — with no channel send and no allocation.
-//   - Flush drains the vertical counters into the batch's []int64 frame
-//     (where Batcher.AddCounts accumulates directly) and ships the frame
-//     through the Aggregator.AddCounts path, one per BatchSize reports.
-//     The drain is the only place counts are materialized, and a batch
-//     target above the fold's plane cap only adds an intermediate drain
-//     into the same frame.
-//   - Frames are recycled: the shard worker hands each frame it has
-//     folded to a per-Server free list, and the next Flush clears and
-//     refills one instead of allocating. This is why AddCounts owns the
-//     slice it is given.
+//   - A flush of a batch that holds only folded reports ships the fold
+//     itself: the *bitvec.Lanes goes to the shard, which adds its planes
+//     into the shard's own fold (bitvec.Lanes.AddLanes) without
+//     expanding either into counts. The shard drains that fold into its
+//     Aggregator only before the sum could pass bitvec.LaneCap, before
+//     it answers a snapshot marker, and when it stops — so a batch of
+//     any size costs the producer no drain and the shard a few hundred
+//     word operations.
+//   - A batch that also holds Batcher.AddCounts content, or whose fold
+//     spilled (a batch target above the plane cap), ships as a []int64
+//     counts frame instead: Flush drains the fold into the frame, and
+//     the shard folds it through Aggregator.AddCounts.
+//   - Both are recycled: the shard worker hands each fold it has emptied
+//     and each frame it has folded to a per-Server free list, and the
+//     next Flush takes one from there instead of allocating. This is why
+//     AddCounts owns the slice it is given.
 //   - Snapshot pushes a marker through every shard queue and merges the
 //     replies, so reads are consistent with all previously enqueued
 //     ingestion while new reports keep flowing.
@@ -227,10 +233,12 @@ func WithStreamResume(counts []int64, n int64, seq uint64) Option {
 func WithTelemetry(reg *telemetry.Registry) Option { return func(o *options) { o.tel = reg } }
 
 // shardMsg is one frame on a shard queue: exactly one of a raw report, a
-// pre-summed batch (counts+n), or a snapshot marker.
+// pre-summed batch (counts+n), a batch still in its bit-sliced fold
+// (lanes+n), or a snapshot marker.
 type shardMsg struct {
 	report *bitvec.Vector
 	counts []int64
+	lanes  *bitvec.Lanes
 	n      int64
 	snap   chan<- shardSnap
 }
@@ -240,9 +248,28 @@ type shardSnap struct {
 	n      int64
 }
 
+// shard is one worker's state. Folds handed off by Batcher flushes add
+// into fold; when fold nears the plane cap it spills into spill, and
+// settle moves both into a. foldN counts the reports in fold and spill.
 type shard struct {
-	ch chan shardMsg
-	a  *agg.Aggregator
+	ch    chan shardMsg
+	a     *agg.Aggregator
+	fold  *bitvec.Lanes
+	spill []int64
+	foldN int64
+}
+
+// settle drains the shard's fold into its aggregator.
+func (sh *shard) settle() {
+	if sh.foldN == 0 {
+		return
+	}
+	sh.fold.Drain(sh.spill)
+	if err := sh.a.AddCounts(sh.spill, sh.foldN); err != nil {
+		panic(err) // every count is a sum of foldN validated reports
+	}
+	clear(sh.spill)
+	sh.foldN = 0
 }
 
 // Server is the sharded ingestion runtime for m-bit reports. All methods
@@ -255,9 +282,11 @@ type Server struct {
 	next      atomic.Uint64 // round-robin shard cursor
 	// free holds count frames the shard workers have finished folding,
 	// for Batcher.Flush to clear and refill instead of allocating one
-	// per flush. Both ends are non-blocking: an empty list allocates, a
-	// full one leaves the frame to the garbage collector.
-	free chan []int64
+	// per flush; freeLanes holds the handed-off folds they have emptied.
+	// Both ends are non-blocking: an empty list allocates, a full one
+	// leaves the frame or fold to the garbage collector.
+	free      chan []int64
+	freeLanes chan *bitvec.Lanes
 
 	// Adaptive batching (zero without WithAdaptiveBatch). shedArmed is
 	// set only when the *unclamped* rate-derived target reaches the max
@@ -355,6 +384,7 @@ func New(bits int, opts ...Option) (*Server, error) {
 	// Sized to the frames that can be at the shards at once (queued or
 	// being folded): more than that cannot come back before being reused.
 	s.free = make(chan []int64, o.shards*(o.queueDepth+1))
+	s.freeLanes = make(chan *bitvec.Lanes, o.shards*(o.queueDepth+1))
 	s.rate.tau = DefaultRateTau.Seconds()
 	if o.adaptive {
 		s.adaptive, s.adaptMin, s.adaptMax = true, o.adaptMin, o.adaptMax
@@ -395,7 +425,8 @@ func New(bits int, opts ...Option) (*Server, error) {
 		s.registerMetrics(o.tel)
 	}
 	for i := range s.shards {
-		sh := &shard{ch: make(chan shardMsg, o.queueDepth), a: agg.New(bits)}
+		sh := &shard{ch: make(chan shardMsg, o.queueDepth), a: agg.New(bits),
+			fold: bitvec.NewLanes(bits), spill: make([]int64, bits)}
 		s.shards[i] = sh
 		s.wg.Add(1)
 		go s.worker(sh)
@@ -718,13 +749,16 @@ func (s *Server) stopCheckpointLoop() {
 	})
 }
 
-// worker owns one shard's aggregator; it is the only goroutine that ever
-// touches it, which is what keeps ingestion lock-free.
+// worker owns one shard's aggregator and fold; it is the only goroutine
+// that ever touches them, which is what keeps ingestion lock-free. A
+// handed-off fold is added into the shard's fold, which reaches the
+// aggregator only when settled: before a snapshot reply and at the end.
 func (s *Server) worker(sh *shard) {
 	defer s.wg.Done()
 	timed := s.hFold != nil // set before workers start, constant after
 	for msg := range sh.ch {
 		if msg.snap != nil {
+			sh.settle()
 			msg.snap <- shardSnap{counts: sh.a.Counts(), n: sh.a.N()}
 			continue
 		}
@@ -732,19 +766,24 @@ func (s *Server) worker(sh *shard) {
 		if timed {
 			start = time.Now()
 		}
-		if msg.report != nil {
+		switch {
+		case msg.lanes != nil:
+			sh.fold.AddLanes(msg.lanes, sh.spill)
+			sh.foldN += msg.n
+		case msg.report != nil:
 			sh.a.Add(msg.report)
-		} else if err := sh.a.AddCounts(msg.counts, msg.n); err != nil {
-			// Validated by the producer; an error here is a programming bug.
-			panic(err)
+		default:
+			if err := sh.a.AddCounts(msg.counts, msg.n); err != nil {
+				// Validated by the producer; an error here is a programming bug.
+				panic(err)
+			}
 		}
 		if timed {
 			s.hFold.ObserveSince(start)
 		}
-		if msg.counts != nil {
-			s.recycle(msg.counts)
-		}
+		s.release(msg)
 	}
+	sh.settle()
 }
 
 // Bits returns the report length m.
@@ -851,13 +890,7 @@ func (s *Server) Add(v *bitvec.Vector) error {
 // counts and may recycle the slice as a later frame once it is folded:
 // the caller must neither write nor read it after the call.
 func (s *Server) AddCounts(counts []int64, n int64) error {
-	if err := validateBatch(s.bits, counts, n); err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
-	return s.sendCounts(counts, n)
+	return s.addCounts(counts, n, false)
 }
 
 // AddCountsBlocking ingests a pre-summed batch with pure backpressure:
@@ -866,23 +899,30 @@ func (s *Server) AddCounts(counts []int64, n int64) error {
 // dropping it silently would contradict the acceptance. The server
 // takes ownership of counts, as in AddCounts.
 func (s *Server) AddCountsBlocking(counts []int64, n int64) error {
+	return s.addCounts(counts, n, true)
+}
+
+func (s *Server) addCounts(counts []int64, n int64, block bool) error {
 	if err := validateBatch(s.bits, counts, n); err != nil {
 		return err
 	}
 	if n == 0 {
 		return nil
 	}
-	return s.sendCountsBlocking(counts, n)
+	return s.place(shardMsg{counts: counts, n: n}, block)
 }
 
-// sendCounts ships one pre-validated batch frame and bumps the metrics.
-// With adaptive batching saturated (the observed rate pinned the target
-// past its maximum), placement turns non-blocking and a frame that fits
-// nowhere is shed (see WithAdaptiveBatch) — dropping reports keeps
-// estimates unbiased, only smaller-n; blocking would stall every
-// producer behind the overload.
-func (s *Server) sendCounts(counts []int64, n int64) error {
-	if s.adaptive && s.shedArmed.Load() {
+// place ships one pre-validated frame — counts or a fold — and bumps the
+// metrics. block selects pure backpressure: a full queue blocks and the
+// saturation guard never sheds, the placement for anything admitted (an
+// acked frame dropped after its ack would break the sender's
+// exactly-once accounting). Otherwise, with adaptive batching saturated
+// (the observed rate pinned the target past its maximum), placement
+// turns non-blocking and a frame that fits nowhere is shed (see
+// WithAdaptiveBatch) — dropping reports keeps estimates unbiased, only
+// smaller-n; blocking would stall every producer behind the overload.
+func (s *Server) place(msg shardMsg, block bool) error {
+	if !block && s.adaptive && s.shedArmed.Load() {
 		s.mu.RLock()
 		if s.closed {
 			s.mu.RUnlock()
@@ -892,38 +932,27 @@ func (s *Server) sendCounts(counts []int64, n int64) error {
 		for k := 0; k < len(s.shards); k++ {
 			sh := s.shards[(start+uint64(k))%uint64(len(s.shards))]
 			select {
-			case sh.ch <- shardMsg{counts: counts, n: n}:
+			case sh.ch <- msg:
 				s.mu.RUnlock()
-				s.reports.Add(n)
+				s.reports.Add(msg.n)
 				s.frames.Add(1)
 				return nil
 			default:
 			}
 		}
 		s.mu.RUnlock()
-		s.shedReports.Add(n)
+		s.shedReports.Add(msg.n)
 		s.shedFrames.Add(1)
-		s.recycle(counts)
+		if msg.lanes != nil {
+			msg.lanes.Reset()
+		}
+		s.release(msg)
 		return nil
 	}
-	if err := s.send(shardMsg{counts: counts, n: n}); err != nil {
+	if err := s.send(msg); err != nil {
 		return err
 	}
-	s.reports.Add(n)
-	s.frames.Add(1)
-	return nil
-}
-
-// sendCountsBlocking ships one pre-validated batch frame with pure
-// backpressure — a full queue blocks, the saturation guard never sheds.
-// It is the placement path for acked ingest: once a frame has been
-// admitted (and will be acked), silently dropping it would break the
-// sender's exactly-once accounting.
-func (s *Server) sendCountsBlocking(counts []int64, n int64) error {
-	if err := s.send(shardMsg{counts: counts, n: n}); err != nil {
-		return err
-	}
-	s.reports.Add(n)
+	s.reports.Add(msg.n)
 	s.frames.Add(1)
 	return nil
 }
@@ -939,11 +968,30 @@ func (s *Server) frame() []int64 {
 	}
 }
 
-// recycle offers a frame the runtime is done with to the free list.
-func (s *Server) recycle(f []int64) {
+// emptyLanes returns an empty fold, recycled when one is free.
+func (s *Server) emptyLanes() *bitvec.Lanes {
 	select {
-	case s.free <- f:
+	case l := <-s.freeLanes:
+		return l
 	default:
+		return bitvec.NewLanes(s.bits)
+	}
+}
+
+// release offers the frame or the emptied fold of a message the runtime
+// is done with to its free list.
+func (s *Server) release(msg shardMsg) {
+	switch {
+	case msg.lanes != nil:
+		select {
+		case s.freeLanes <- msg.lanes:
+		default:
+		}
+	case msg.counts != nil:
+		select {
+		case s.free <- msg.counts:
+		default:
+		}
 	}
 }
 
@@ -1146,15 +1194,22 @@ func (s *Server) Drain() (counts []int64, n int64, err error) {
 // the next full batch or Flush, not on every Add — producers must stop
 // adding once they initiate Close.
 //
-// Reports are summed by a bitvec.Lanes block fold, not bit by bit: Add
-// and AddWords stage the report, and Flush drains the fold into counts —
-// the frame — together with whatever AddCounts put there directly.
+// Reports are summed by a bitvec.Lanes block fold, not bit by bit: Add,
+// AddWords and AddBytes stage the report. What a flush ships depends on
+// what the batch holds. Reports alone travel as the fold itself, which
+// the shard adds into its own fold; the Batcher takes an empty fold from
+// the free list and keeps its counts frame, still clean. A batch that
+// also holds AddCounts content, or whose fold spilled into the frame,
+// is drained into the frame, and the frame ships.
 type Batcher struct {
 	s      *Server
 	lanes  *bitvec.Lanes
 	counts []int64
 	n      int64
 	mode   batcherMode
+	// admitted marks a pending batch holding reports that passed Admit:
+	// its flush blocks, whatever the mode (see Batcher.Admit).
+	admitted bool
 }
 
 // batcherMode selects what a full batch does when the runtime is
@@ -1167,7 +1222,7 @@ const (
 	// (counted in Stats.ShedReports).
 	batchShed batcherMode = iota
 	// batchBlock never sheds: a full queue blocks the producer. The mode
-	// for acked connections, where a report that was admitted must land.
+	// for producers whose every report was admitted and must land.
 	batchBlock
 	// batchReject pushes back: Flush returns ErrSaturated/ErrDraining
 	// with the pending batch kept, so an in-process sender can back off
@@ -1176,7 +1231,7 @@ const (
 )
 
 func (s *Server) newBatcher(mode batcherMode) *Batcher {
-	return &Batcher{s: s, lanes: bitvec.NewLanes(s.bits), counts: s.frame(), mode: mode}
+	return &Batcher{s: s, lanes: s.emptyLanes(), counts: s.frame(), mode: mode}
 }
 
 // NewBatcher returns an empty batcher feeding s with the legacy
@@ -1184,9 +1239,9 @@ func (s *Server) newBatcher(mode batcherMode) *Batcher {
 func (s *Server) NewBatcher() *Batcher { return s.newBatcher(batchShed) }
 
 // NewBlockingBatcher returns a batcher that never sheds: saturated
-// queues block its flushes instead of dropping the frame. Acked ingest
-// paths use it — admission is decided before the fold (Admit), and an
-// admitted report must reach a shard.
+// queues block its flushes instead of dropping the frame. Ingest paths
+// that admit everything they fold use it — admission is decided before
+// the fold (Admit), and an admitted report must reach a shard.
 func (s *Server) NewBlockingBatcher() *Batcher { return s.newBatcher(batchBlock) }
 
 // NewRejectBatcher returns a batcher whose flushes push back instead of
@@ -1196,6 +1251,22 @@ func (s *Server) NewBlockingBatcher() *Batcher { return s.newBatcher(batchBlock)
 // triggered the auto-flush is already part of the pending batch — on
 // pushback, retry Flush only; re-Adding the report would double it.
 func (s *Server) NewRejectBatcher() *Batcher { return s.newBatcher(batchReject) }
+
+// Admit runs the runtime's admission gate (Server.Admit) for n reports
+// the caller is about to add. On success the pending batch is marked as
+// carrying admitted reports: its flush — the automatic one inside an add
+// or an explicit Flush — places it as a NewBlockingBatcher's would,
+// blocking on a full queue and never shedding or pushing back, whatever
+// this batcher's mode. The mark lasts until that flush. This is how one
+// batcher carries a connection's plain and acked reports alike: Admit,
+// add, Flush, then ack — the ack then covers every report added before.
+func (b *Batcher) Admit(n int64) error {
+	if err := b.s.Admit(n); err != nil {
+		return err
+	}
+	b.admitted = true
+	return nil
+}
 
 // Add accumulates one report, shipping a frame when the batch is full.
 // v is copied into the pending batch before Add returns and is never
@@ -1207,18 +1278,35 @@ func (b *Batcher) Add(v *bitvec.Vector) error {
 }
 
 // AddWords accumulates one report given as packed words, validating it
-// like bitvec.FromWords but without allocating a vector — the
-// zero-allocation path for reports straight off the wire.
+// like bitvec.FromWords but without allocating a vector.
 func (b *Batcher) AddWords(words []uint64, bits int) error {
-	if bits != b.s.bits {
-		return fmt.Errorf("server: report has %d bits, domain has %d", bits, b.s.bits)
+	if err := b.checkBits(bits); err != nil {
+		return err
 	}
 	if err := b.lanes.AddWords(words, bits, b.counts); err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	b.n++
-	if b.n >= b.s.batchTarget() {
-		return b.Flush()
+	return b.added(1)
+}
+
+// AddBytes is AddWords for a report whose words are still in wire form,
+// 8 little-endian bytes each: the path for reports folded straight out
+// of a network read buffer, with no decode into a []uint64 between. It
+// accepts and refuses exactly what AddWords does, with the same errors.
+// p is not retained.
+func (b *Batcher) AddBytes(p []byte, bits int) error {
+	if err := b.checkBits(bits); err != nil {
+		return err
+	}
+	if err := b.lanes.AddBytes(p, bits, b.counts); err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	return b.added(1)
+}
+
+func (b *Batcher) checkBits(bits int) error {
+	if bits != b.s.bits {
+		return fmt.Errorf("server: report has %d bits, domain has %d", bits, b.s.bits)
 	}
 	return nil
 }
@@ -1231,6 +1319,11 @@ func (b *Batcher) AddCounts(counts []int64, n int64) error {
 	for i, c := range counts {
 		b.counts[i] += c
 	}
+	return b.added(n)
+}
+
+// added counts n reports into the pending batch and ships it once full.
+func (b *Batcher) added(n int64) error {
 	b.n += n
 	if b.n >= b.s.batchTarget() {
 		return b.Flush()
@@ -1249,16 +1342,20 @@ func (b *Batcher) Flush() error {
 	if b.n == 0 {
 		return nil
 	}
-	if b.mode == batchReject {
+	block := b.admitted || b.mode == batchBlock
+	if b.mode == batchReject && !b.admitted {
 		if err := b.s.Admit(b.n); err != nil {
 			return err
 		}
 	}
-	b.lanes.Drain(b.counts)
-	counts, n := b.counts, b.n
-	b.counts, b.n = b.s.frame(), 0
-	if b.mode == batchShed {
-		return b.s.sendCounts(counts, n)
+	msg := shardMsg{n: b.n}
+	if int64(b.lanes.Pending()) == b.n {
+		// Every pending report is still in the fold: hand the fold over.
+		msg.lanes, b.lanes = b.lanes, b.s.emptyLanes()
+	} else {
+		b.lanes.Drain(b.counts)
+		msg.counts, b.counts = b.counts, b.s.frame()
 	}
-	return b.s.sendCountsBlocking(counts, n)
+	b.n, b.admitted = 0, false
+	return b.s.place(msg, block)
 }

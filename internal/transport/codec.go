@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -175,6 +176,43 @@ func appendBytes[T []byte | string](b []byte, v T) []byte {
 	return append(b, v...)
 }
 
+// appendReport appends the report frame the client sends — byte for byte
+// what appendFrame writes for Frame{Kind: FrameReport, Words: words,
+// Bits: bits, WantAck: wantAck, Trace: trace} — without building a Frame
+// or walking the generic field list.
+func appendReport(b []byte, words []uint64, bits int, wantAck bool, trace string) []byte {
+	var has uint64
+	if len(words) > 0 {
+		has |= hasWords
+	}
+	if bits != 0 {
+		has |= hasBits
+	}
+	if wantAck {
+		has |= hasWantAck
+	}
+	if trace != "" {
+		has |= hasTrace
+	}
+	// The kind byte, at most four varints, the words and the trace.
+	b = slices.Grow(b, 1+4*binary.MaxVarintLen64+8*len(words)+len(trace))
+	b = append(b, byte(FrameReport))
+	b = binary.AppendUvarint(b, has)
+	if len(words) > 0 {
+		b = binary.AppendUvarint(b, uint64(len(words)))
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	if bits != 0 {
+		b = binary.AppendVarint(b, int64(bits))
+	}
+	if trace != "" {
+		b = appendBytes(b, trace)
+	}
+	return b
+}
+
 // frameWriter queues frames for one direction of a connection and writes
 // them in as few Writes as the flush rule allows: write copies the frame
 // into buf (the caller's slices are free the moment it returns) and
@@ -192,14 +230,38 @@ type frameWriter struct {
 }
 
 func (w *frameWriter) write(f *Frame) error {
-	if w.err != nil {
+	if !w.start() {
 		return w.err
+	}
+	w.buf = appendFrame(w.buf, f)
+	return w.queued()
+}
+
+// writeReport is write for a report frame, by its fixed layout
+// (appendReport).
+func (w *frameWriter) writeReport(words []uint64, bits int, wantAck bool, trace string) error {
+	if !w.start() {
+		return w.err
+	}
+	w.buf = appendReport(w.buf, words, bits, wantAck, trace)
+	return w.queued()
+}
+
+// start readies buf for one more frame, queueing the preamble ahead of
+// the first; it is false once a write has failed.
+func (w *frameWriter) start() bool {
+	if w.err != nil {
+		return false
 	}
 	if !w.started {
 		w.started = true
 		w.buf = append(w.buf, preamble[:]...)
 	}
-	w.buf = appendFrame(w.buf, f)
+	return true
+}
+
+// queued hands buf to the socket once it holds writeBufSize bytes.
+func (w *frameWriter) queued() error {
 	if len(w.buf) >= writeBufSize {
 		return w.flush()
 	}
@@ -292,6 +354,99 @@ func (r *frameReader) read(f *Frame) error {
 		return err
 	}
 	return nil
+}
+
+// wireReport is an untraced report frame parsed where it lies in the
+// read buffer. words holds the report's words as the wire carries them,
+// 8 little-endian bytes each, and aliases the buffer: it is valid until
+// the reader's next call.
+type wireReport struct {
+	words   []byte
+	bits    int
+	wantAck bool
+}
+
+// The two frame heads the in-place report parse knows: the kind byte and
+// the presence bitmap appendReport writes for an untraced report, plain
+// or acked.
+var (
+	plainReportHead = binary.AppendUvarint([]byte{byte(FrameReport)}, hasWords|hasBits)
+	ackedReportHead = binary.AppendUvarint([]byte{byte(FrameReport)}, hasWords|hasBits|hasWantAck)
+)
+
+// next reads the next frame for an ingest loop. An untraced report frame
+// whose bytes are all in the read buffer already, written in its
+// canonical form, is parsed in place with one Peek and comes back as rep
+// (rep.words != nil) with f untouched: no Frame reset and no copy of its
+// words. Every other frame — a traced report, a varint written longer
+// than it needs, a frame split across the buffer's edge, every other
+// kind — is decoded into f by read, which stays the reference decoder
+// and the only path for everything but such reports. Either way the
+// frame's bytes are consumed.
+func (r *frameReader) next(f *Frame) (rep wireReport, err error) {
+	if r.started && r.br.Buffered() == 0 {
+		// Wait for the next bytes here rather than inside read, so the
+		// frame they start can be parsed in place too. An error here is
+		// the one read would meet on the frame's first byte.
+		if _, err := r.br.Peek(1); err != nil {
+			return rep, err
+		}
+	}
+	if rep, size := r.peekReport(); size > 0 {
+		_, err = r.br.Discard(size) // within Buffered: reads nothing
+		return rep, err
+	}
+	return wireReport{}, r.read(f)
+}
+
+// peekReport parses the frame at the head of the read buffer as next
+// describes, returning its size, or 0 to leave it to the generic decoder.
+func (r *frameReader) peekReport() (rep wireReport, size int) {
+	if !r.started {
+		return rep, 0 // the preamble is read's to check
+	}
+	b, _ := r.br.Peek(r.br.Buffered())
+	var at int
+	switch {
+	case bytes.HasPrefix(b, plainReportHead):
+		at = len(plainReportHead)
+	case bytes.HasPrefix(b, ackedReportHead):
+		at, rep.wantAck = len(ackedReportHead), true
+	default:
+		return rep, 0
+	}
+	count, k := canonUvarint(b[at:])
+	if k == 0 || count == 0 || count > uint64(r.maxWords) || uint64(len(b)-at-k) < 8*count {
+		return rep, 0
+	}
+	at += k
+	end := at + 8*int(count)
+	ubits, k := canonUvarint(b[end:])
+	bits := unzigzag(ubits)
+	if k == 0 || int64(int(bits)) != bits {
+		return rep, 0
+	}
+	rep.words, rep.bits = b[at:end], int(bits)
+	return rep, end + k
+}
+
+// canonUvarint decodes the uvarint at the head of b if it is whole and
+// in its shortest form (a multi-byte encoding does not end in a zero
+// byte); otherwise it returns k = 0.
+func canonUvarint(b []byte) (v uint64, k int) {
+	v, k = binary.Uvarint(b)
+	if k <= 0 || k > 1 && b[k-1] == 0 {
+		return 0, 0
+	}
+	return v, k
+}
+
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
 }
 
 func (r *frameReader) fields(f *Frame) (err error) {
@@ -414,11 +569,7 @@ func (r *frameReader) uvarint() (uint64, error) {
 
 func (r *frameReader) varint() (int64, error) {
 	ux, err := r.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
-	return x, err
+	return unzigzag(ux), err
 }
 
 // length reads a length prefix and checks it against its cap.
@@ -467,6 +618,10 @@ func (r *frameReader) counts(dst []int64) ([]int64, error) {
 		for ; n > 0 && len(b)-used >= binary.MaxVarintLen64; n-- {
 			c, k := binary.Varint(b[used:])
 			if k <= 0 {
+				// Consume what the byte-at-a-time path would have read
+				// before refusing (every overflow is ten bytes), so where
+				// a malformed stream stops does not depend on buffering.
+				_, _ = r.br.Discard(used + binary.MaxVarintLen64)
 				return dst, malformed("varint overflows 64 bits")
 			}
 			dst = append(dst, c)

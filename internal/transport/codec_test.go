@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"idldp/internal/bitvec"
 	"idldp/internal/rng"
 )
 
@@ -231,7 +236,9 @@ func TestFramesRoundTripThroughOneStream(t *testing.T) {
 
 // TestReportFrameSteadyStateAllocs: once the write buffer and the
 // decoder's Frame have grown, encoding and decoding a report at m = 1024
-// allocates nothing.
+// allocates nothing — through the generic encoder and decoder, and
+// through the client's fixed-layout encoder and the ingest loop's
+// in-place parse folded straight from the read buffer.
 func TestReportFrameSteadyStateAllocs(t *testing.T) {
 	report := sampleFrames()[0]
 	var wire bytes.Buffer
@@ -255,6 +262,69 @@ func TestReportFrameSteadyStateAllocs(t *testing.T) {
 	}
 	if got, want := len(appendFrame(nil, &report)), 1+1+1+128+2; got != want {
 		t.Fatalf("report frame at m=1024 is %d bytes on the wire, want %d", got, want)
+	}
+
+	lanes := bitvec.NewLanes(report.Bits)
+	counts := make([]int64, report.Bits)
+	fast := func() {
+		if err := w.writeReport(report.Words, report.Bits, false, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.flush(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.next(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.words == nil {
+			t.Fatal("a whole untraced report in the read buffer took the generic decoder")
+		}
+		if err := lanes.AddBytes(rep.words, rep.bits, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, fast); allocs != 0 {
+		t.Fatalf("fixed-layout encode + in-place parse + fold allocates %v per frame, want 0", allocs)
+	}
+	lanes.Drain(counts)
+	want := make([]int64, report.Bits)
+	for range 201 {
+		if err := bitvec.AccumulateWordsInto(report.Words, report.Bits, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(counts, want) {
+		t.Fatal("reports folded from the read buffer differ from the scalar fold")
+	}
+}
+
+// TestReportEncoderMatchesAppendFrame pins the client's fixed report
+// layout to the generic encoder byte for byte, over every field a
+// client report carries: words of any count (none too), any Bits
+// (zero and negative too), acked or not, traced or not.
+func TestReportEncoderMatchesAppendFrame(t *testing.T) {
+	r := rng.New(31)
+	for i := 0; i < 2000; i++ {
+		f := Frame{Kind: FrameReport, Words: make([]uint64, r.IntN(40)), WantAck: r.IntN(2) == 0}
+		for k := range f.Words {
+			f.Words[k] = r.Uint64() >> uint(r.IntN(64))
+		}
+		switch r.IntN(4) {
+		case 0:
+		case 1:
+			f.Bits = -1 - r.IntN(1<<20)
+		default:
+			f.Bits = 1 + r.IntN(1<<20)
+		}
+		if r.IntN(3) == 0 {
+			f.Trace = string(randBytes(r, 1+r.IntN(200)))
+		}
+		prefix := randBytes(r, r.IntN(5))
+		want := appendFrame(slices.Clone(prefix), &f)
+		if got := appendReport(slices.Clone(prefix), f.Words, f.Bits, f.WantAck, f.Trace); !bytes.Equal(got, want) {
+			t.Fatalf("frame %+v\n fixed layout % x\n appendFrame  % x", f, got, want)
+		}
 	}
 }
 
@@ -306,15 +376,193 @@ func TestHostileLengthsFailWithoutAllocating(t *testing.T) {
 	}
 }
 
+// reportFold is how an ingest loop's report path ended on a stream: the
+// counts and n of the reports it folded, why it stopped, and how many of
+// the stream's bytes it had consumed by then.
+type reportFold struct {
+	counts   []int64
+	n        int64
+	verdict  string
+	consumed int64
+}
+
+// countingReader counts the bytes its reader hands out, chunk at a time
+// when chunk > 0 — so frames land across read-buffer edges at varied
+// offsets.
+type countingReader struct {
+	r     io.Reader
+	chunk int
+	n     int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	if c.chunk > 0 && len(p) > c.chunk {
+		p = p[:c.chunk]
+	}
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+func (f *reportFold) stop(verdict string, cr *countingReader, r *frameReader) {
+	f.verdict, f.consumed = verdict, cr.n-int64(r.br.Buffered())
+}
+
+func verdictOf(err error) string {
+	switch {
+	case err == io.EOF:
+		return "eof"
+	case err == io.ErrUnexpectedEOF:
+		return "truncated"
+	case errors.Is(err, errMalformed):
+		return "malformed"
+	}
+	return "error: " + err.Error()
+}
+
+// foldGeneric is the reference: the generic decoder, then each report
+// checked against the domain and folded bit by bit.
+func foldGeneric(data []byte, m int) reportFold {
+	cr := &countingReader{r: bytes.NewReader(data)}
+	r := newFrameReader(cr, m)
+	out := reportFold{counts: make([]int64, m)}
+	var f Frame
+	for {
+		if err := r.read(&f); err != nil {
+			out.stop(verdictOf(err), cr, r)
+			return out
+		}
+		if f.Kind != FrameReport {
+			continue
+		}
+		if f.Bits != m || bitvec.AccumulateWordsInto(f.Words, m, out.counts) != nil {
+			out.stop("refused", cr, r)
+			return out
+		}
+		out.n++
+	}
+}
+
+// foldFast is the ingest handler's report path: next, then an in-place
+// report's words staged from the read buffer (AddBytes) and a decoded
+// one's from its Frame (AddWords), into the bit-sliced fold a
+// server.Batcher runs.
+func foldFast(data []byte, m, chunk int) reportFold {
+	cr := &countingReader{r: bytes.NewReader(data), chunk: chunk}
+	r := newFrameReader(cr, m)
+	lanes := bitvec.NewLanes(m)
+	out := reportFold{counts: make([]int64, m)}
+	var f Frame
+	for {
+		rep, err := r.next(&f)
+		if err != nil {
+			lanes.Drain(out.counts)
+			out.stop(verdictOf(err), cr, r)
+			return out
+		}
+		switch {
+		case rep.words != nil:
+			err = lanes.AddBytes(rep.words, rep.bits, out.counts)
+		case f.Kind == FrameReport:
+			err = lanes.AddWords(f.Words, f.Bits, out.counts)
+		default:
+			continue
+		}
+		if err != nil {
+			lanes.Drain(out.counts)
+			out.stop("refused", cr, r)
+			return out
+		}
+		out.n++
+	}
+}
+
+// reportStream is a preamble and then the given frames.
+func reportStream(frames ...[]byte) []byte {
+	b := preamble[:]
+	for _, f := range frames {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// rawReport writes a report frame field by field, so a seed can spell a
+// varint longer than it needs to be.
+func rawReport(presence, count []byte, words []uint64, bits []byte) []byte {
+	b := append([]byte{byte(FrameReport)}, presence...)
+	b = append(b, count...)
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return append(b, bits...)
+}
+
+// fuzzSeed is one named input of the committed corpus.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
+
+// fastPathSeeds are the named inputs aimed at the in-place report parse;
+// testdata/fuzz/FuzzReadFrame/<name> holds the same bytes, which
+// TestFuzzCorpusCommitted checks.
+func fastPathSeeds() []fuzzSeed {
+	one := []uint64{0x5a}
+	plain := appendReport(nil, one, 8, false, "")
+	// Printable words keep the committed file readable; 250 reports of
+	// 133 bytes put one across the 32 KB read buffer's edge.
+	var many [][]byte
+	for i := 0; i < 250; i++ {
+		words := make([]uint64, 16)
+		for k := range words {
+			words[k] = 0x4141414141414141 + uint64(i%26)<<(8*(k%8))
+		}
+		many = append(many, appendReport(nil, words, 1024, i%50 == 49, ""))
+	}
+	return []fuzzSeed{
+		{"fast-report-straddles-read-buffer", reportStream(many...)},
+		{"fast-plain-acked-traced", reportStream(plain, appendReport(nil, one, 8, true, ""),
+			appendReport(nil, one, 8, false, "0123456789abcdef"), appendReport(nil, one, 8, true, "t"), plain)},
+		{"fast-overlong-presence", reportStream(plain, rawReport([]byte{0x83, 0x00}, []byte{1}, one, []byte{0x10}), plain)},
+		{"fast-overlong-word-count", reportStream(plain, rawReport([]byte{0x03}, []byte{0x81, 0x00}, one, []byte{0x10}), plain)},
+		{"fast-overlong-bits", reportStream(plain, rawReport([]byte{0x03}, []byte{1}, one, []byte{0x90, 0x00}), plain)},
+		{"fast-bits-not-m", reportStream(plain, appendReport(nil, one, 9, false, ""), plain)},
+		{"fast-acked-bits-not-m", reportStream(plain, appendReport(nil, one, 9, true, ""), plain)},
+		{"fast-padding-bits-set", reportStream(plain, appendReport(nil, []uint64{1 << 8}, 8, false, ""), plain)},
+		{"fast-word-count-over-domain", reportStream(plain, appendReport(nil, []uint64{1, 2}, 8, false, ""), plain)},
+		{"fast-truncated-report", reportStream(plain, plain[:7])},
+	}
+}
+
+// TestFuzzCorpusCommitted keeps the in-place parse's seeds on disk, so
+// the CI fuzz smoke and a plain `go test` start from the same inputs.
+func TestFuzzCorpusCommitted(t *testing.T) {
+	for _, s := range fastPathSeeds() {
+		path := filepath.Join("testdata", "fuzz", "FuzzReadFrame", s.name)
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s.data)
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s (err %v) should hold:\n%s", path, err, want)
+		}
+	}
+}
+
 // FuzzReadFrame: arbitrary bytes never panic the decoder and never make
 // it hold more memory than a small multiple of the input; every frame it
 // does accept re-encodes to something that decodes to the same frame.
+// Every input also runs through the ingest handler's report path, in
+// one read and in chunks, at two domain sizes, and must fold exactly
+// what the generic decoder and the scalar fold do: the same counts and
+// n, the same end (EOF, truncated, malformed or refused) and the same
+// bytes consumed.
 func FuzzReadFrame(f *testing.F) {
 	for _, s := range sampleFrames() {
 		f.Add(encodeOne(&s))
 	}
 	for _, in := range hostileInputs() {
 		f.Add(in.stream)
+	}
+	for _, s := range fastPathSeeds() {
+		f.Add(s.data)
 	}
 	f.Add([]byte("not a frame at all"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -328,7 +576,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("%d input bytes left the decoder holding %d", len(data), held)
 			}
 			if err != nil {
-				return
+				break
 			}
 			back, err := decodeOne(encodeOne(&fr))
 			if err != nil {
@@ -336,6 +584,21 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if !sameFrame(&fr, &back) {
 				t.Fatalf("re-encode changed the frame\n first  %+v\n second %+v", fr, back)
+			}
+		}
+
+		chunk := 1
+		if len(data) > 0 {
+			chunk += 37 * int(data[len(data)-1])
+		}
+		for _, m := range []int{8, 1024} {
+			want := foldGeneric(data, m)
+			for _, c := range []int{0, chunk} {
+				got := foldFast(data, m, c)
+				if got.n != want.n || got.verdict != want.verdict || got.consumed != want.consumed || !slices.Equal(got.counts, want.counts) {
+					t.Fatalf("m=%d chunk=%d: report path folded n=%d (%s after %d bytes), generic n=%d (%s after %d bytes), counts equal %v",
+						m, c, got.n, got.verdict, got.consumed, want.n, want.verdict, want.consumed, slices.Equal(got.counts, want.counts))
+				}
 			}
 		}
 	})

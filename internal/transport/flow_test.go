@@ -127,6 +127,39 @@ func TestAckedIngestConvergesUnderSaturation(t *testing.T) {
 	}
 }
 
+// TestRefusedAckedSendLeavesNoDeadline: a refused acked report leaves
+// the connection open on the server, so the client must leave it usable
+// too — no per-attempt deadline still armed to fail the next flush or
+// Snapshot once it passes.
+func TestRefusedAckedSendLeavesNoDeadline(t *testing.T) {
+	const m = 16
+	srv, err := Serve("127.0.0.1:0", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetRetryPolicy(flow.Policy{Base: time.Millisecond, Max: time.Millisecond, Attempts: 2, PerAttempt: 50 * time.Millisecond}, 3)
+	if err := c.SendReportAck(context.Background(), bitvec.OneHot(m+1, 2)); err == nil {
+		t.Fatal("a report of the wrong length was acked")
+	}
+	time.Sleep(100 * time.Millisecond) // past the refused attempt's deadline
+	if err := c.SendReport(bitvec.OneHot(m, 2)); err != nil {
+		t.Fatal(err)
+	}
+	counts, n, _, err := c.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot after a refused acked send: %v", err)
+	}
+	if n != 1 || counts[2] != 1 {
+		t.Fatalf("n = %d, counts[2] = %d: want the one good report", n, counts[2])
+	}
+}
+
 func TestAckedIngestShedDuringDrain(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", 16, server.WithShards(1))
 	if err != nil {

@@ -36,12 +36,12 @@ func dialCounting(t testing.TB, addr string) (*Client, *countingConn) {
 // TestFrameOfReportsIsOneWrite: 63 plain reports and the acked 64th —
 // the unit the fleet's senders ship — reach the socket in one Write
 // (two allowed), and once the ack is back all 64 are in the server's
-// snapshot. (Batch size 1: the handler ships each plain report as it
-// decodes it, so the ack — written after them, in order — covers them;
-// at larger batch sizes plain reports wait for their batch as before.)
+// snapshot, at the default batch size: the connection's one batcher
+// flushes the plain reports with the acked one, so the ack covers every
+// report the connection sent before it.
 func TestFrameOfReportsIsOneWrite(t *testing.T) {
 	const m = 1024
-	srv, err := Serve("127.0.0.1:0", m, server.WithBatchSize(1))
+	srv, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,12 +58,31 @@
 // no timer: a client that streams fewer than 32 KB and then goes quiet
 // must Flush (or Close) for the server to see the tail. Replies (acks,
 // snapshots, control-plane answers) are flushed as they are written.
+// SendReport and SendReportAck write a report's fixed layout directly;
+// the bytes are exactly the generic encoding's.
+//
+// # Ingest
 //
 // Ingestion runs on the sharded runtime of internal/server: each
-// connection handler owns a server.Batcher that folds single-report
-// frames into per-bit counts and ships them to a shard worker one frame
-// per batch, so the per-report path takes no lock and the server scales
-// with GOMAXPROCS. Tune it with server.Option values passed to Serve.
+// connection handler owns one server.Batcher, for plain and acked frames
+// alike, that folds reports into bit-sliced counters and ships a batch
+// to a shard worker when it fills, so the per-report path takes no lock
+// and the server scales with GOMAXPROCS. Tune it with server.Option
+// values passed to Serve.
+//
+// An acked frame is admitted (or pushed back with a shed ack), folded
+// into that batcher, and the batcher is flushed before the ack is
+// written. So an ack covers every report this connection sent before it,
+// not only the acked frame: all of them are visible to a later Snapshot
+// and survive the connection dying. That flush blocks on full shard
+// queues and never sheds; the batcher's own auto-flushes of plain
+// reports keep the runtime's placement, which may shed under saturation
+// (server.WithAdaptiveBatch).
+//
+// An untraced report that is already whole in the connection's read
+// buffer is parsed there in place and its words are folded straight
+// from the buffer's bytes; every other frame goes through the generic
+// decoder, which accepts and refuses exactly the same streams.
 package transport
 
 import (
@@ -281,17 +300,11 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
+	// One batcher for plain and acked frames alike (see the package
+	// doc's Ingest section).
 	batcher := s.sink.NewBatcher()
-	// Acked frames go through a separate no-shed batcher: once the
-	// server acks a report, silently dropping it later would break the
-	// sender's exactly-once accounting, so acked placement may block but
-	// never sheds. Created lazily — legacy streams never pay for it.
-	var acked *server.Batcher
 	defer func() {
 		_ = batcher.Flush() // ship the partial batch of a finished stream
-		if acked != nil {
-			_ = acked.Flush()
-		}
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -304,15 +317,23 @@ func (s *Server) handle(conn net.Conn) {
 		return w.send(&f) == nil
 	}
 	// One Frame for the whole stream, decoded in place: once its slices
-	// have grown, the steady-state decode path — and the AddWords ingest
-	// behind it — allocates nothing per report.
+	// have grown, the generic decode path allocates nothing per frame.
+	// Untraced reports skip it: next parses them in the read buffer and
+	// AddBytes folds their words from there.
 	var f Frame
 	for {
-		if err := r.read(&f); err != nil {
+		rep, err := r.next(&f)
+		if err != nil {
 			if errors.Is(err, errMalformed) {
 				s.sink.NoteMalformed()
 			}
 			return // EOF, a failed connection or a malformed stream ends it
+		}
+		if rep.words != nil {
+			if !s.ingest(batcher, ack, rep.wantAck, 1, func() error { return batcher.AddBytes(rep.words, rep.bits) }) {
+				return
+			}
+			continue
 		}
 		if f.Trace != "" && (f.Kind == FrameReport || f.Kind == FrameBatch) {
 			// Representative trace: the latest traced batch stamps the
@@ -321,71 +342,11 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		switch f.Kind {
 		case FrameReport:
-			if !f.WantAck {
-				if err := batcher.AddWords(f.Words, f.Bits); err != nil {
-					s.noteRefused(err)
-					return
-				}
-				continue
-			}
-			// Flow-controlled ingest: admit (or push back) BEFORE the
-			// fold, so an acked report is never silently shed after.
-			if err := s.sink.Admit(1); err != nil {
-				if !ack(Frame{Shed: true, RetryAfterNano: int64(server.DefaultRetryAfter)}) {
-					return
-				}
-				continue
-			}
-			if acked == nil {
-				acked = s.sink.NewBlockingBatcher()
-			}
-			// Fold and flush before acking: an ack promises the report is
-			// visible to a subsequent Snapshot and survives the connection
-			// dying right after. The flush may block on full queues —
-			// that's the backpressure an acked sender signed up for.
-			if err := acked.AddWords(f.Words, f.Bits); err == nil {
-				err = acked.Flush()
-				if err != nil {
-					return // runtime closed mid-flush; no ack, sender retries elsewhere
-				}
-			} else {
-				if !ack(Frame{Err: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if !ack(Frame{}) {
+			if !s.ingest(batcher, ack, f.WantAck, 1, func() error { return batcher.AddWords(f.Words, f.Bits) }) {
 				return
 			}
 		case FrameBatch:
-			if !f.WantAck {
-				if err := batcher.AddCounts(f.Counts, f.N); err != nil {
-					s.noteRefused(err)
-					return
-				}
-				continue
-			}
-			if err := s.sink.Admit(f.N); err != nil {
-				if !ack(Frame{Shed: true, RetryAfterNano: int64(server.DefaultRetryAfter)}) {
-					return
-				}
-				continue
-			}
-			if acked == nil {
-				acked = s.sink.NewBlockingBatcher()
-			}
-			if err := acked.AddCounts(f.Counts, f.N); err == nil {
-				err = acked.Flush()
-				if err != nil {
-					return
-				}
-			} else {
-				if !ack(Frame{Err: err.Error()}) {
-					return
-				}
-				continue
-			}
-			if !ack(Frame{}) {
+			if !s.ingest(batcher, ack, f.WantAck, f.N, func() error { return batcher.AddCounts(f.Counts, f.N) }) {
 				return
 			}
 		case FrameSnapshotRequest:
@@ -399,9 +360,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			// Flush first so the requester's own reports are included.
 			if batcher.Flush() != nil {
-				return
-			}
-			if acked != nil && acked.Flush() != nil {
 				return
 			}
 			counts, n := s.sink.Snapshot()
@@ -419,6 +377,40 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// ingest runs the contract of one report or batch frame of n reports;
+// add stages its content in the connection's batcher. A plain frame is
+// staged, and one the runtime refuses ends the connection. An acked
+// frame is admitted first — or pushed back with a shed ack, folding
+// nothing — then staged and flushed before the ack: an ack promises that
+// the frame, and everything the connection sent before it, is visible
+// to a subsequent Snapshot and survives the connection dying right
+// after. The flush of an admitted batch may block on full queues, which
+// is the backpressure an acked sender signed up for; it never sheds. A
+// refused acked frame is answered with its error and the connection
+// stays. ingest returns false when the connection must end.
+func (s *Server) ingest(b *server.Batcher, ack func(Frame) bool, wantAck bool, n int64, add func() error) bool {
+	if !wantAck {
+		if err := add(); err != nil {
+			s.noteRefused(err)
+			return false
+		}
+		return true
+	}
+	if err := b.Admit(n); err != nil {
+		return ack(Frame{Shed: true, RetryAfterNano: int64(server.DefaultRetryAfter)})
+	}
+	if err := add(); err != nil {
+		if errors.Is(err, server.ErrClosed) {
+			return false
+		}
+		return ack(Frame{Err: err.Error()})
+	}
+	if b.Flush() != nil {
+		return false // runtime closed mid-flush; no ack, the sender retries elsewhere
+	}
+	return ack(Frame{})
 }
 
 // noteRefused counts a connection about to be dropped because the
@@ -573,7 +565,7 @@ func (c *Client) Snapshot() (counts []int64, n int64, bits int, err error) {
 // buffer, so the caller may overwrite it as soon as SendReport returns;
 // the report reaches the server with the next flush (see Flush).
 func (c *Client) SendReport(v *bitvec.Vector) error {
-	return c.w.write(&Frame{Kind: FrameReport, Words: v.Words(), Bits: v.Len(), Trace: c.trace})
+	return c.w.writeReport(v.Words(), v.Len(), false, c.trace)
 }
 
 // SendBatch queues a locally aggregated batch; see SendReport.
@@ -606,31 +598,41 @@ func (c *Client) FlowStats() flow.Stats { return c.fstats }
 // hint as a floor — and re-sends. The report is delivered exactly once:
 // an accepted frame is never re-sent, a shed frame was never folded.
 func (c *Client) SendReportAck(ctx context.Context, v *bitvec.Vector) error {
-	return c.sendAcked(ctx, Frame{Kind: FrameReport, Words: v.Words(), Bits: v.Len(), WantAck: true, Trace: c.trace})
+	return c.sendAcked(ctx, &Frame{Kind: FrameReport, Words: v.Words(), Bits: v.Len(), WantAck: true, Trace: c.trace})
 }
 
 // SendBatchAck ships a locally aggregated batch flow-controlled; see
 // SendReportAck for the delivery contract.
 func (c *Client) SendBatchAck(ctx context.Context, a *agg.Aggregator) error {
-	return c.sendAcked(ctx, Frame{Kind: FrameBatch, Counts: a.Counts(), N: a.N(), WantAck: true, Trace: c.trace})
+	return c.sendAcked(ctx, &Frame{Kind: FrameBatch, Counts: a.Counts(), N: a.N(), WantAck: true, Trace: c.trace})
 }
 
 // sendAcked is the shared acked-send retry loop. It speaks the shed
 // protocol directly (rather than through flow.Do) because the backoff
 // floor arrives at runtime in each shed ack's Retry-After hint.
-func (c *Client) sendAcked(ctx context.Context, f Frame) error {
+func (c *Client) sendAcked(ctx context.Context, f *Frame) error {
 	p := c.policy.WithDefaults()
 	if c.rand == nil {
 		c.rand = flow.NewRand(uint64(time.Now().UnixNano()))
 	}
+	// Every exit clears the per-attempt deadline: the server keeps a
+	// connection open after refusing a frame, and a deadline left armed
+	// would fail the next send or Snapshot on it.
+	defer c.conn.SetDeadline(time.Time{})
 	for attempt := 0; ; attempt++ {
 		c.fstats.Attempts++
 		if err := c.conn.SetDeadline(time.Now().Add(p.PerAttempt)); err != nil {
 			return fmt.Errorf("transport: %w", err)
 		}
-		var ack Frame
-		if err := exchange(&c.w, c.r, &f, &ack); err != nil {
+		if err := c.queue(f); err != nil {
 			return err
+		}
+		if err := c.w.flush(); err != nil {
+			return err
+		}
+		var ack Frame
+		if err := c.r.read(&ack); err != nil {
+			return fmt.Errorf("transport: read: %w", err)
 		}
 		if ack.Kind != FrameAck {
 			return fmt.Errorf("transport: unexpected frame kind %d in ingest ack", ack.Kind)
@@ -639,7 +641,6 @@ func (c *Client) sendAcked(ctx context.Context, f Frame) error {
 			return fmt.Errorf("transport: report refused: %s", ack.Err)
 		}
 		if !ack.Shed {
-			_ = c.conn.SetDeadline(time.Time{})
 			return nil
 		}
 		c.fstats.Sheds++
@@ -656,6 +657,15 @@ func (c *Client) sendAcked(ctx context.Context, f Frame) error {
 		}
 		c.fstats.Retries++
 	}
+}
+
+// queue copies f into the write buffer: a report by its fixed layout,
+// anything else through the generic encoder.
+func (c *Client) queue(f *Frame) error {
+	if f.Kind == FrameReport {
+		return c.w.writeReport(f.Words, f.Bits, f.WantAck, f.Trace)
+	}
+	return c.w.write(f)
 }
 
 // Close flushes the write buffer and closes the connection. A flush
