@@ -34,7 +34,7 @@ func TestSIGTERMAtFirstReadyDrains(t *testing.T) {
 		lis.Close()
 		done := make(chan error, 1)
 		go func() {
-			done <- run(&bytes.Buffer{}, config{interval: 50 * time.Millisecond,
+			done <- run(&bytes.Buffer{}, config{interval: 50 * time.Millisecond, listen: "127.0.0.1:0",
 				listenHTTP: httpAddr, heartbeat: 200 * time.Millisecond, evictMissed: 3})
 		}()
 		for deadline := time.Now().Add(5 * time.Second); ; {

@@ -1,16 +1,16 @@
 // Command idldp-merge is the fleet merger. It builds one exact global
 // aggregate in a registry of members (internal/registry) that join two
-// ways, mixable in one process:
+// ways over framed TCP, mixable in one process:
 //
 //   - Polling (-nodes): fetch snapshot frames from idldp-server
-//     processes (framed TCP) and/or httpapi nodes (HTTP) on an interval.
-//     The merger announces each fetched snapshot to its own registry on
-//     the node's behalf, so a polled node is a member of kind "poll",
-//     named by its spec. With -fleet-token every snapshot request is
-//     HMAC-signed for nodes that gate their snapshot endpoints.
-//   - Push registration (-listen / -listen-http): let nodes announce
-//     themselves — register, heartbeat, push varpack-packed snapshot
-//     deltas — instead of being listed statically.
+//     processes on an interval. The merger announces each fetched
+//     snapshot to its own registry on the node's behalf, so a polled
+//     node is a member of kind "poll", named by its spec. With
+//     -fleet-token every snapshot request is HMAC-signed for nodes that
+//     gate their snapshot frames.
+//   - Push registration (-listen): let nodes announce themselves —
+//     register, heartbeat, push varpack-packed snapshot deltas — instead
+//     of being listed statically.
 //
 // Either way a member that goes silent for -heartbeat × -evict-missed
 // (a polled node: no successful fetch) is evicted: its last counts keep
@@ -18,12 +18,13 @@
 // members alike appear in GET /v1/fleet, as idldp_fleet_member_up on
 // /metrics and in the final report, and -merger-dir checkpoints every
 // member's state so a restarted merger resumes exactly. The HTTP
-// listener additionally serves the merged live read surface —
-// GET /v1/estimates (cached, one calibration per poll no matter how
-// many dashboards ask), the shared-payload SSE feed at
-// /v1/estimates/stream, and /v1/readstats — plus the probes:
-// GET /v1/healthz (process liveness, always 200) and GET /v1/readyz
-// (503 until the first merge lands, and again once shutdown begins).
+// listener (-listen-http) serves operators and dashboards, never peers:
+// GET /v1/fleet, the merged live read surface — GET /v1/estimates
+// (cached, one calibration per poll no matter how many dashboards ask),
+// the shared-payload SSE feed at /v1/estimates/stream, and
+// /v1/readstats — plus the probes: GET /v1/healthz (process liveness,
+// always 200) and GET /v1/readyz (503 until the first merge lands, and
+// again once shutdown begins).
 //
 // With -history-dir (alongside -listen-http) the merged stream is
 // time-travel capable: every merged interval and a telemetry snapshot
@@ -136,20 +137,20 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.nodes, "nodes", "", "comma-separated node specs to poll (tcp://host:port or http://host:port)")
+	flag.StringVar(&cfg.nodes, "nodes", "", "comma-separated node specs to poll (tcp://host:port)")
 	flag.DurationVar(&cfg.interval, "interval", 2*time.Second, "poll/publish interval")
 	flag.BoolVar(&cfg.once, "once", false, "poll every node once, print the merged state, and exit")
 	flag.DurationVar(&cfg.duration, "duration", 0, "stop after this long (0 = until signal)")
 	flag.BoolVar(&cfg.streamOut, "stream", false, "print each merged update as it is published")
 	flag.IntVar(&cfg.window, "window", 0, "also report estimates over the last k polls (0 = all-time only)")
 	flag.StringVar(&cfg.listen, "listen", "", "framed TCP control-plane listen address for push-registered nodes (empty = polling only)")
-	flag.StringVar(&cfg.listenHTTP, "listen-http", "", "HTTP control-plane listen address (empty = none)")
+	flag.StringVar(&cfg.listenHTTP, "listen-http", "", "HTTP listen address for /v1/fleet, live estimates, probes and /metrics; peers never use it (empty = none)")
 	flag.StringVar(&cfg.fleetToken, "fleet-token", "", "shared fleet token authenticating registrations, pushes and snapshot reads")
 	flag.DurationVar(&cfg.heartbeat, "heartbeat", registry.DefaultHeartbeatEvery, "heartbeat cadence advertised to registering nodes")
 	flag.IntVar(&cfg.evictMissed, "evict-missed", registry.DefaultMissedHeartbeats, "heartbeat intervals without a push, heartbeat or successful poll before a member is evicted")
 	flag.StringVar(&cfg.mergerDir, "merger-dir", "", "checkpoint directory for merger state (restart resumes exactly)")
 	flag.DurationVar(&cfg.mergerCkptInterval, "merger-checkpoint-interval", 10*time.Second, "time between merger-state checkpoints")
-	flag.StringVar(&cfg.upstream, "upstream", "", "higher-tier merger to announce this merger's stream to (tcp://host:port or http://host:port)")
+	flag.StringVar(&cfg.upstream, "upstream", "", "higher-tier merger to announce this merger's stream to (tcp://host:port)")
 	flag.StringVar(&cfg.name, "name", "", "this merger's fleet-wide identity for -upstream (default: -listen address)")
 	flag.StringVar(&cfg.historyDir, "history-dir", "", "time-travel history log for the merged stream: enables /v1/estimates?at/from/to and /v1/metrics/history (requires -listen-http)")
 	flag.IntVar(&cfg.historyKeep, "history-keep", 0, "history segments to retain (0 = default)")
@@ -167,8 +168,8 @@ func main() {
 }
 
 func run(w io.Writer, cfg config) error {
-	if cfg.nodes == "" && cfg.listen == "" && cfg.listenHTTP == "" {
-		return fmt.Errorf("need -nodes to poll, or -listen/-listen-http to accept push registrations")
+	if cfg.nodes == "" && cfg.listen == "" {
+		return fmt.Errorf("need -nodes to poll, or -listen to accept push registrations (-listen-http serves reads only)")
 	}
 	if cfg.window < 0 {
 		return fmt.Errorf("-window must be non-negative")
@@ -196,6 +197,12 @@ func run(w io.Writer, cfg config) error {
 	engine, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
 	if err != nil {
 		return err
+	}
+	var dialUp func(context.Context) (registry.Conn, error)
+	if cfg.upstream != "" {
+		if dialUp, err = transport.DialControlPlane(cfg.upstream); err != nil {
+			return err
+		}
 	}
 	if cfg.pprofAddr != "" {
 		stopPprof, err := servePprof(cfg.pprofAddr, logger)
@@ -310,8 +317,8 @@ func run(w io.Writer, cfg config) error {
 	var draining atomic.Bool
 
 	// HTTP surface: the merged live-estimates read path (cached — any
-	// number of fleet dashboards cost one calibration per poll) mounted
-	// over the control-plane endpoints.
+	// number of fleet dashboards cost one calibration per poll), the
+	// probes, /metrics, /v1/slo and the operator's GET /v1/fleet.
 	if httpLis != nil {
 		liveSub, err := f.Subscribe(64)
 		if err != nil {
@@ -349,9 +356,9 @@ func run(w io.Writer, cfg config) error {
 		// liveness gauges.
 		mux.Handle("GET /metrics", telemetry.HandlerFor(tel, reg.Federation(), reg))
 		mux.Handle("GET /v1/slo", sloEng.Handler())
-		mux.Handle("/", httpapi.NewRegistry(reg))
+		mux.Handle("/v1/fleet", httpapi.NewRegistry(reg))
 		go func() { _ = http.Serve(httpLis, mux) }()
-		fmt.Fprintf(w, "control plane: accepting push registrations on http://%s (live estimates at /v1/estimates)\n", httpLis.Addr())
+		fmt.Fprintf(w, "http: fleet status at /v1/fleet, live estimates at /v1/estimates on http://%s\n", httpLis.Addr())
 	}
 
 	// The merged delta stream drives -stream output, -window bookkeeping,
@@ -396,7 +403,7 @@ func run(w io.Writer, cfg config) error {
 		}
 		if up, err = registry.Announce(registry.AnnounceConfig{
 			Name: name, Bits: engine.M(), Kind: "merger", Auth: auth,
-			Dial: transport.DialControlPlane(cfg.upstream), Subscribe: f.Subscribe,
+			Dial: dialUp, Subscribe: f.Subscribe,
 			Telemetry: tel,
 			// A mid-tier merger's heartbeat telemetry is its own snapshot
 			// folded with its members' — the parent sees the whole subtree.

@@ -84,15 +84,29 @@ func startFilledServers(t *testing.T, engine *core.Engine, perNode []int) []stri
 	return addrs
 }
 
+// TestRunRequiresMembership: a merger needs a membership source, and
+// -listen-http is not one: peers never speak HTTP.
 func TestRunRequiresMembership(t *testing.T) {
-	if err := run(&bytes.Buffer{}, onceCfg("")); err == nil {
-		t.Fatal("no -nodes and no -listen accepted")
+	for _, cfg := range []config{onceCfg(""), {listenHTTP: "127.0.0.1:0", interval: time.Second}} {
+		if err := run(&bytes.Buffer{}, cfg); err == nil || !strings.Contains(err.Error(), "need -nodes") {
+			t.Fatalf("%+v: err = %v, want a missing-membership error", cfg, err)
+		}
 	}
 }
 
+// TestRunRejectsBadSpec: a peer target of any scheme but tcp:// fails
+// at startup, for polled nodes and the upstream merger alike.
 func TestRunRejectsBadSpec(t *testing.T) {
-	if err := run(&bytes.Buffer{}, onceCfg("gopher://nope")); err == nil {
-		t.Fatal("bad node spec accepted")
+	upstream := func(target string) config {
+		return config{listen: "127.0.0.1:0", upstream: target, interval: time.Second, duration: time.Second}
+	}
+	for _, cfg := range []config{
+		onceCfg("gopher://nope"), onceCfg("http://127.0.0.1:8090"), onceCfg("tcp://127.0.0.1:1,https://h"),
+		upstream("http://127.0.0.1:8090"), upstream("https://top"),
+	} {
+		if err := run(&bytes.Buffer{}, cfg); err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
+			t.Fatalf("nodes %q upstream %q: err = %v, want unsupported scheme", cfg.nodes, cfg.upstream, err)
+		}
 	}
 }
 
@@ -169,15 +183,15 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// waitAddr waits for a running merger to print the control-plane
-// address it bound for scheme ("tcp" or "http").
+// waitAddr waits for a running merger to print the address it bound for
+// scheme: its control plane's ("tcp") or its HTTP listener's ("http").
 func waitAddr(t *testing.T, out *syncBuffer, scheme string) string {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		if time.Now().After(deadline) {
 			t.Fatalf("merger never printed its %s address:\n%s", scheme, out.String())
 		}
-		if _, rest, ok := strings.Cut(out.String(), "registrations on "+scheme+"://"); ok && strings.Contains(rest, "\n") {
+		if _, rest, ok := strings.Cut(out.String(), " on "+scheme+"://"); ok && strings.Contains(rest, "\n") {
 			return strings.Fields(rest)[0]
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -301,8 +315,8 @@ func (n *announcingNode) close() error {
 }
 
 // TestRunListenHTTPServesLiveEstimates: the -listen-http port mounts
-// the cached merged read surface next to the control plane — live
-// estimates and read stats reflect push-registered members.
+// the cached merged read surface — live estimates and read stats
+// reflect members push-registered over the TCP control plane.
 func TestRunListenHTTPServesLiveEstimates(t *testing.T) {
 	engine, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
 	if err != nil {

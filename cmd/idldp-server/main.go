@@ -22,12 +22,13 @@
 // reports the cache and broadcast counters.
 //
 // With -announce the server joins a fleet by pushing instead of being
-// polled: it registers with the merger at the given target
-// (tcp://host:port or http://host:port), heartbeats, and pushes
-// varpack-packed snapshot deltas every -stream-interval — reconnecting
-// with a full resync after any failure or restart. -fleet-token
-// authenticates every control-plane message (and gates this server's
-// own snapshot endpoints); -node-name sets the fleet-wide identity.
+// polled: it registers with the merger's framed TCP control plane at the
+// given target (tcp://host:port; any other scheme fails at startup),
+// heartbeats, and pushes varpack-packed snapshot deltas every
+// -stream-interval — reconnecting with a full resync after any failure
+// or restart. -fleet-token authenticates every control-plane message
+// (and gates this server's snapshot frames); -node-name sets the
+// fleet-wide identity.
 //
 // With -history-dir (alongside -stream) the read path is time-travel
 // capable: every closed stream interval and a telemetry snapshot per
@@ -75,6 +76,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -142,8 +144,8 @@ func main() {
 	flag.StringVar(&cfg.historyDir, "history-dir", "", "time-travel history log directory: persists closed intervals + telemetry snapshots, enables /v1/estimates?at/from/to (requires -stream)")
 	flag.IntVar(&cfg.historyKeep, "history-keep", 0, "history segments to retain (0 = default)")
 	flag.IntVar(&cfg.historySeg, "history-seg", 0, "records per history segment before rotation (0 = default)")
-	flag.StringVar(&cfg.announceTarget, "announce", "", "merger control-plane target to push to (tcp://host:port or http://host:port)")
-	flag.StringVar(&cfg.fleetToken, "fleet-token", "", "shared fleet token: signs announcements and gates snapshot reads")
+	flag.StringVar(&cfg.announceTarget, "announce", "", "merger control-plane target to push to (tcp://host:port)")
+	flag.StringVar(&cfg.fleetToken, "fleet-token", "", "shared fleet token: signs announcements and gates snapshot frames")
 	flag.StringVar(&cfg.nodeName, "node-name", "", "fleet-wide node identity (default: the listen address)")
 	flag.DurationVar(&cfg.drainGrace, "drain-grace", 500*time.Millisecond, "how long to keep answering (with 429/shed pushback) after readiness flips off on shutdown")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
@@ -213,6 +215,12 @@ func run(cfg config) error {
 	var auth *registry.Authenticator
 	if cfg.fleetToken != "" {
 		if auth, err = registry.NewAuthenticator(cfg.fleetToken); err != nil {
+			return err
+		}
+	}
+	var dial func(context.Context) (registry.Conn, error)
+	if cfg.announceTarget != "" {
+		if dial, err = transport.DialControlPlane(cfg.announceTarget); err != nil {
 			return err
 		}
 	}
@@ -327,9 +335,6 @@ func run(cfg config) error {
 				cfg.historyDir, lastSeq)
 			logger.Info("history", "dir", cfg.historyDir, "generation", lastSeq)
 		}
-		if auth != nil {
-			h.RequireSnapshotAuth(auth)
-		}
 		h.SetTelemetry(tel)
 		h.SetSLO(sloEng.Handler())
 		handler = h
@@ -351,7 +356,7 @@ func run(cfg config) error {
 		}
 		announcer, err = registry.Announce(registry.AnnounceConfig{
 			Name: name, Bits: engine.M(), Kind: "node", Auth: auth,
-			Dial: transport.DialControlPlane(cfg.announceTarget), Subscribe: sink.Subscribe,
+			Dial: dial, Subscribe: sink.Subscribe,
 			Telemetry:         tel,
 			SnapshotTelemetry: tel.Snapshot,
 			OnError:           func(err error) { logger.Warn("announce", "err", err) },

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -30,6 +31,18 @@ func TestRunBadAddr(t *testing.T) {
 func TestRunBadAdaptiveSpec(t *testing.T) {
 	if err := run(config{addr: "127.0.0.1:0", duration: time.Millisecond, adaptive: "nope", streamInterval: time.Second, window: 8, drainGrace: 10 * time.Millisecond}); err == nil {
 		t.Fatal("malformed -adaptive-batch accepted")
+	}
+}
+
+// TestRunRejectsNonTCPAnnounce: -announce takes a framed TCP merger
+// target; an http(s):// one fails at startup instead of being retried
+// as an address.
+func TestRunRejectsNonTCPAnnounce(t *testing.T) {
+	for _, target := range []string{"http://127.0.0.1:8090", "https://merger"} {
+		err := run(config{addr: "127.0.0.1:0", duration: time.Millisecond, announceTarget: target, streamInterval: time.Second, window: 8})
+		if err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
+			t.Fatalf("-announce %s: err = %v, want unsupported scheme", target, err)
+		}
 	}
 }
 

@@ -38,8 +38,9 @@
 // per-shard snapshots, and is bit-for-bit identical to the single
 // accumulator on the same reports because per-bit counts are
 // order-independent integer sums. The framed TCP transport
-// (internal/transport) and the HTTP/JSON API (internal/httpapi) feed the
-// same runtime. A sharded Server must be Closed to stop its workers.
+// (internal/transport), which also carries every conversation between
+// fleet peers, and the HTTP/JSON API for clients (internal/httpapi) feed
+// the same runtime. A sharded Server must be Closed to stop its workers.
 //
 // # Streaming estimates
 //
@@ -333,8 +334,8 @@ func WithAdaptiveBatch(min, max int) ServerOption {
 }
 
 // WithAnnounce joins the fleet control plane: the server registers
-// itself with the merger at target ("tcp://host:port" or
-// "http://host:port"), heartbeats, and pushes its snapshot deltas —
+// itself with the merger at target ("tcp://host:port"; any other scheme
+// fails construction), heartbeats, and pushes its snapshot deltas —
 // authenticated with the fleet token when one is given. name is the
 // node's fleet-wide identity ("" derives one: stable from the
 // WithCheckpoint directory for durable nodes — a restart must reclaim
@@ -362,8 +363,9 @@ func (c *Client) NewServer(opts ...ServerOption) *Server {
 	s, _, err := c.newServer(opts)
 	if err != nil {
 		// Only reachable with WithCheckpoint (an unusable or corrupt
-		// directory): plain construction cannot fail since bits is
-		// positive by construction. RestoreServer surfaces the error.
+		// directory) or a WithAnnounce target of another scheme: plain
+		// construction cannot fail since bits is positive by
+		// construction. RestoreServer surfaces the error.
 		panic("idldp: " + err.Error())
 	}
 	return s
@@ -448,9 +450,12 @@ func (c *Client) newServer(opts []ServerOption) (*Server, int64, error) {
 
 // announce starts the control-plane loop for a WithAnnounce server.
 func announce(rt *server.Server, bits int, o serverOptions) (*registry.Announcer, error) {
+	dial, err := transport.DialControlPlane(o.announceTarget)
+	if err != nil {
+		return nil, err
+	}
 	var auth *registry.Authenticator
 	if o.announceToken != "" {
-		var err error
 		if auth, err = registry.NewAuthenticator(o.announceToken); err != nil {
 			return nil, err
 		}
@@ -491,7 +496,7 @@ func announce(rt *server.Server, bits int, o serverOptions) (*registry.Announcer
 	}
 	return registry.Announce(registry.AnnounceConfig{
 		Name: name, Bits: bits, Kind: "node", Auth: auth,
-		Dial: transport.DialControlPlane(o.announceTarget), Subscribe: rt.Subscribe,
+		Dial: dial, Subscribe: rt.Subscribe,
 	})
 }
 

@@ -474,6 +474,20 @@ func TestAnnouncingServerPushesToMerger(t *testing.T) {
 	}
 }
 
+// TestAnnounceRefusesNonTCPTarget: WithAnnounce takes a framed TCP
+// merger target; an http(s):// one fails construction instead of being
+// retried as an address.
+func TestAnnounceRefusesNonTCPTarget(t *testing.T) {
+	client, err := NewClient(toyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = client.RestoreServer(WithCheckpoint(t.TempDir(), time.Hour), WithAnnounce("http://127.0.0.1:8090", "", "n"))
+	if err == nil || !strings.Contains(err.Error(), "unsupported scheme") {
+		t.Fatalf("http:// announce target: err = %v, want unsupported scheme", err)
+	}
+}
+
 // TestDurableAnnouncerReclaimsItsMemberSlot: a durable announcing
 // server that restarts must re-register under the same derived name and
 // resync — never announce its restored counts as a second member, which

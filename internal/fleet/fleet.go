@@ -1,26 +1,26 @@
 // Package fleet is the merger's polling half. For every statically
-// listed node it fetches the cumulative snapshot — over the framed TCP
-// transport or the HTTP/JSON API — and then acts as that node's
-// announcer against the merger's own registry (internal/registry):
-// register under the node spec with kind "poll", then one signed
-// full-state resync push per successful fetch. Merged counts, liveness,
-// resync validation, restart detection, status, metrics and checkpoints
-// are the registry's, shared with push-registered members: a node that
-// stops answering is evicted after the heartbeat window while its last
-// counts keep contributing (cumulative counts go stale, never wrong).
-// What remains here is the two fetchers, the concurrent poll round with
-// its transient-error policy, and the tick that coalesces the registry's
-// merged counts into one delta stream: a frame per interval, not per push.
+// listed node it fetches the cumulative snapshot over the framed TCP
+// transport (transport.FetchSnapshot, which refuses a reply larger than
+// a genuine snapshot of the merger's domain before decoding it) and then
+// acts as that node's announcer against the merger's own registry
+// (internal/registry): register under the node spec with kind "poll",
+// then one signed full-state resync push per successful fetch. Merged
+// counts, liveness, resync validation, restart detection, status,
+// metrics and checkpoints are the registry's, shared with
+// push-registered members: a node that stops answering is evicted after
+// the heartbeat window while its last counts keep contributing
+// (cumulative counts go stale, never wrong). What remains here is the
+// concurrent poll round with its transient-error policy, and the tick
+// that coalesces the registry's merged counts into one delta stream: a
+// frame per interval, not per push.
 package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,70 +39,6 @@ const Kind = "poll"
 // pollTimeout bounds each node fetch.
 const pollTimeout = 5 * time.Second
 
-// fetchTCP sends the framed TCP aggregation server (internal/transport)
-// at addr a snapshot-request frame, signed when auth is non-nil, on a
-// fresh connection per fetch so a node restart never wedges the poller
-// on a dead stream. The frame codec caps what a reply may allocate.
-func fetchTCP(ctx context.Context, addr string, auth *registry.Authenticator, bits int) ([]int64, int64, error) {
-	c, err := transport.Dial(ctx, addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer c.Close()
-	deadline, _ := ctx.Deadline() // the zero time sets none
-	if err := c.SetDeadline(deadline); err != nil {
-		return nil, 0, err
-	}
-	c.SetAuth(auth)
-	counts, n, got, err := c.Snapshot()
-	if err == nil && got != bits {
-		err = fmt.Errorf("node has %d bits, fleet has %d", got, bits)
-	}
-	return counts, n, err
-}
-
-// fetchHTTP asks the httpapi node at base for its varpack-packed
-// snapshot (GET /v1/snapshot?format=packed), signed when auth is
-// non-nil. The reply is read through a limit sized from bits and its
-// declared domain checked before anything is decoded: whatever answers
-// on the node's port allocates no more than a genuine snapshot would.
-func fetchHTTP(ctx context.Context, base string, auth *registry.Authenticator, bits int) ([]int64, int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/snapshot?format=packed", nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	registry.SignSnapshotHTTP(req, auth, "", time.Now())
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, 0, fmt.Errorf("snapshot endpoint returned %s", resp.Status)
-	}
-	limit := 14*int64(bits) + 1024 // a packed count is at most 10 bytes, 14 in base64
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, 0, err
-	}
-	if int64(len(raw)) > limit {
-		return nil, 0, fmt.Errorf("snapshot body exceeds %d bytes for %d bits", limit, bits)
-	}
-	var body struct {
-		Packed []byte `json:"packed"`
-		N      int64  `json:"n"`
-		Bits   int    `json:"bits"`
-	}
-	if err := json.Unmarshal(raw, &body); err != nil {
-		return nil, 0, err
-	}
-	if body.Bits != bits {
-		return nil, 0, fmt.Errorf("node has %d bits, fleet has %d", body.Bits, bits)
-	}
-	counts, err := varpack.Unpack(body.Packed)
-	return counts, body.N, err
-}
-
 // node is one polled node and its announcer state; only its own fetch
 // goroutine touches it, one poll round at a time.
 type node struct {
@@ -113,24 +49,18 @@ type node struct {
 	session, seq uint64 // registry session (0 until a fetch succeeds) and its push sequence
 }
 
-// parse maps a node spec to its member name and fetcher: "http://…" and
-// "https://…" poll the HTTP API, "tcp://host:port" and bare "host:port"
-// the framed transport.
+// parse maps a node spec, "tcp://host:port" or bare "host:port", to its
+// member name and fetcher.
 func parse(spec string, a *registry.Authenticator) (*node, error) {
 	addr, tcp := strings.CutPrefix(spec, "tcp://")
 	switch {
-	case strings.HasPrefix(spec, "http://"), strings.HasPrefix(spec, "https://"):
-		base := strings.TrimRight(spec, "/")
-		return &node{name: base, fetch: func(ctx context.Context, bits int) ([]int64, int64, error) {
-			return fetchHTTP(ctx, base, a, bits)
-		}}, nil
 	case spec == "":
 		return nil, fmt.Errorf("fleet: empty node spec")
 	case !tcp && strings.Contains(spec, "://"):
 		return nil, fmt.Errorf("fleet: unsupported scheme in %q", spec)
 	}
 	return &node{name: "tcp://" + addr, fetch: func(ctx context.Context, bits int) ([]int64, int64, error) {
-		return fetchTCP(ctx, addr, a, bits)
+		return transport.FetchSnapshot(ctx, addr, a, bits)
 	}}, nil
 }
 

@@ -3,12 +3,13 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
-	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"idldp/internal/bitvec"
 	"idldp/internal/budget"
 	"idldp/internal/core"
-	"idldp/internal/httpapi"
 	"idldp/internal/registry"
 	"idldp/internal/rng"
 	"idldp/internal/server"
@@ -86,69 +86,42 @@ func pushResync(t *testing.T, reg *registry.Registry, name string, counts []int6
 	}
 }
 
-// startNodes brings up nodeCount collector nodes, alternating framed TCP
-// and HTTP so every merge test exercises both transports.
+// startNodes brings up nodeCount framed TCP collector nodes.
 func startNodes(t *testing.T, e *core.Engine, nodeCount int) []*node {
 	t.Helper()
 	sources := make([]*node, nodeCount)
 	for i := range sources {
-		if i%2 == 0 {
-			srv, err := transport.Serve("127.0.0.1:0", e.M(), server.WithShards(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			sources[i] = mustParse(t, srv.Addr())
-		} else {
-			h, err := httpapi.New(e.M(), e.EstimateSingle, server.WithShards(2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs := httptest.NewServer(h)
-			t.Cleanup(hs.Close)
-			t.Cleanup(func() { h.Close() })
-			sources[i] = mustParse(t, hs.URL)
+		srv, err := transport.Serve("127.0.0.1:0", e.M(), server.WithShards(2))
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { srv.Close() })
+		sources[i] = mustParse(t, srv.Addr())
 	}
 	return sources
 }
 
-// sendTo ships one report to a node through its native transport.
+// sendTo ships one report to a node.
 func sendTo(t *testing.T, nd *node, v *bitvec.Vector) {
 	t.Helper()
-	if addr, ok := strings.CutPrefix(nd.name, "tcp://"); ok {
-		c, err := transport.Dial(context.Background(), addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.SendReport(v); err != nil {
-			t.Fatal(err)
-		}
-		// The snapshot request flushes the connection batcher, so the
-		// report is visible before the connection closes.
-		if _, _, _, err := c.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	body, err := json.Marshal(map[string]any{"words": v.Words(), "bits": v.Len()})
+	c, err := transport.Dial(context.Background(), strings.TrimPrefix(nd.name, "tcp://"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(nd.name+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
+	defer c.Close()
+	if err := c.SendReport(v); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 202 {
-		t.Fatalf("report rejected with status %d", resp.StatusCode)
+	// The snapshot request flushes the connection batcher, so the report
+	// is visible before the connection closes.
+	if _, _, _, err := c.Snapshot(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestFleetMergeEquivalence is the multi-node half of the exactness
-// guarantee: reports partitioned across 2 and 4 polled nodes (mixed
-// framed TCP and HTTP) plus one push-registered member must merge to
+// guarantee: reports partitioned across 2 and 4 polled nodes plus one
+// push-registered member must merge to
 // per-bit counts — and therefore estimates — bit-for-bit identical to
 // one collector that ingested every report.
 func TestFleetMergeEquivalence(t *testing.T) {
@@ -326,13 +299,6 @@ func TestResetDetection(t *testing.T) {
 // on every poll, not just the first — and never pollutes the merge,
 // whether the fetcher or the registry catches it.
 func TestBitsMismatchRejected(t *testing.T) {
-	h, err := httpapi.New(3, func(c []int64, n int) ([]float64, error) { return nil, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	hs := httptest.NewServer(h)
-	defer hs.Close()
 	srv, err := transport.Serve("127.0.0.1:0", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +306,6 @@ func TestBitsMismatchRejected(t *testing.T) {
 	defer srv.Close()
 	for _, nd := range []*node{
 		static("short", []int64{1, 1, 1}, 1),
-		mustParse(t, hs.URL),
 		mustParse(t, srv.Addr()),
 	} {
 		f, reg := newFleet(t, 4, []*node{nd})
@@ -355,36 +320,87 @@ func TestBitsMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestHostileHTTPNode: whatever answers on a node's port cannot crash or
-// balloon the merger — a negative or absurd declared domain and a body
-// larger than any genuine m-bit snapshot are all failed fetches.
-func TestHostileHTTPNode(t *testing.T) {
-	var reply func(w http.ResponseWriter)
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { reply(w) }))
-	defer hs.Close()
-	f, reg := newFleet(t, 4, []*node{mustParse(t, hs.URL), static("good", []int64{1, 0, 1, 0}, 2)})
-	for name, body := range map[string]string{
-		"negative bits": `{"bits":-1,"n":1}`,
-		"huge bits":     `{"bits":1000000000000,"n":1}`,
-		"float bits":    `{"bits":1e12,"n":1}`,
-		"oversized":     `{"bits":4,"n":1,"packed":"` + strings.Repeat("A", 1<<20) + `"}`,
-		"no payload":    `{"bits":4,"n":1}`,
-		"endless":       "",
-	} {
-		reply = func(w http.ResponseWriter) { fmt.Fprint(w, body) }
-		if name == "endless" {
-			reply = func(w http.ResponseWriter) {
-				for i := 0; i < 1<<12; i++ {
-					fmt.Fprint(w, strings.Repeat(" ", 1<<10))
-				}
+// TestHostileTCPNode: whatever answers on a node's port cannot crash or
+// balloon the merger. Packed or plain counts past the fleet's domain, a
+// reply for another domain and an endless stream are all failed
+// fetches, none allocating more than polling a genuine node of the
+// fleet's domain does, and the good member is untouched.
+func TestHostileTCPNode(t *testing.T) {
+	const m, huge = 4, 8 << 20
+	// Replies spelled out in the wire layout of internal/transport: the
+	// preamble, a FrameSnapshot (kind 4), the presence bits of its Bits,
+	// Counts, N and Packed fields, then those present, in that order.
+	const hasBits, hasCounts, hasN, hasPacked = 1 << 1, 1 << 2, 1 << 3, 1 << 5
+	frame := func(has uint64, fields ...[]byte) []byte {
+		b := binary.AppendUvarint([]byte("IDF\x01\x04"), has)
+		return append(b, bytes.Join(fields, nil)...)
+	}
+	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	prefixed := func(n int, body []byte) []byte { return append(binary.AppendUvarint(nil, uint64(n)), body...) }
+	packed := func(n int) []byte { p := varpack.Pack(make([]int64, n)); return prefixed(len(p), p) }
+	replies := map[string][]byte{
+		"packed counts > m": frame(hasBits|hasN|hasPacked, varint(m), varint(1), packed(huge)),
+		"packed header > m": frame(hasBits|hasN|hasPacked, varint(m), varint(1), packed(5*m)),
+		"counts > m":        frame(hasBits|hasCounts|hasN, varint(m), prefixed(huge, make([]byte, huge)), varint(1)),
+		"bits mismatch":     frame(hasBits|hasN|hasPacked, varint(m+1), varint(1), packed(m+1)),
+		// A packed length within the package cap, then bytes without end.
+		"endless": frame(hasBits|hasN|hasPacked, varint(m), varint(1), binary.AppendUvarint(nil, 64<<20)),
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	var reply atomic.Pointer[string]
+	endless := make([]byte, 32<<10)
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
 			}
+			name := *reply.Load()
+			go func() {
+				defer conn.Close()
+				_, err := conn.Write(replies[name])
+				for name == "endless" && err == nil {
+					_, err = conn.Write(endless)
+				}
+				_, _ = io.Copy(io.Discard, conn) // the request, until the poller hangs up
+			}()
 		}
+	}()
+	allocated := func(f *Fleet) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		err := f.Poll(context.Background())
-		if err == nil || !strings.Contains(err.Error(), hs.URL) {
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	genuine, err := transport.Serve("127.0.0.1:0", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer genuine.Close()
+	poller, _ := newFleet(t, m, []*node{mustParse(t, genuine.Addr())})
+	budget, err := allocated(poller)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hostile := mustParse(t, lis.Addr().String())
+	f, reg := newFleet(t, m, []*node{hostile, static("good", []int64{1, 0, 1, 0}, 2)})
+	for name := range replies {
+		reply.Store(&name)
+		grew, err := allocated(f)
+		if err == nil || !strings.Contains(err.Error(), hostile.name) {
 			t.Fatalf("%s: poll error = %v", name, err)
 		}
+		if grew > budget {
+			t.Errorf("%s: the poll allocated %d bytes, a genuine %d-bit node's %d", name, grew, m, budget)
+		}
 	}
-	if sts := reg.Status(); len(sts) != 1 || sts[0].Name != "good" || sts[0].N != 2 || sts[0].Pushes != 6 {
+	if sts := reg.Status(); len(sts) != 1 || sts[0].Name != "good" || sts[0].N != 2 || sts[0].Pushes != int64(len(replies)) {
 		t.Fatalf("merger state after hostile replies: %+v", sts)
 	}
 }
@@ -395,8 +411,8 @@ func TestParseSource(t *testing.T) {
 		want string
 		ok   bool
 	}{
-		{"http://10.0.0.7:8080/", "http://10.0.0.7:8080", true},
-		{"https://node.example", "https://node.example", true},
+		{"http://10.0.0.7:8080/", "", false},
+		{"https://node.example", "", false},
 		{"tcp://10.0.0.7:7070", "tcp://10.0.0.7:7070", true},
 		{"10.0.0.7:7070", "tcp://10.0.0.7:7070", true},
 		{"gopher://x", "", false},
@@ -422,13 +438,13 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	for _, specs := range [][]string{{"127.0.0.1:7070", "gopher://x"}, {""}} {
+	for _, specs := range [][]string{{"127.0.0.1:7070", "gopher://x"}, {"http://h:1"}, {""}} {
 		if _, err := New(reg, nil, specs, 0, nil); err == nil {
 			t.Fatalf("specs %q accepted", specs)
 		}
 	}
-	f, err := New(reg, nil, []string{" 127.0.0.1:7070", "http://h:1/ "}, 0, nil)
-	if err != nil || len(f.nodes) != 2 || f.nodes[0].name != "tcp://127.0.0.1:7070" || f.nodes[1].name != "http://h:1" {
+	f, err := New(reg, nil, []string{" 127.0.0.1:7070", "tcp://h:1 "}, 0, nil)
+	if err != nil || len(f.nodes) != 2 || f.nodes[0].name != "tcp://127.0.0.1:7070" || f.nodes[1].name != "tcp://h:1" {
 		t.Fatalf("New over two specs: %+v, %v", f, err)
 	}
 	if _, err := New(reg, nil, nil, 0, nil); err != nil {

@@ -53,11 +53,9 @@ func benchReaders(b *testing.B, readers int, fn func()) {
 	wg.Wait()
 }
 
-// BenchmarkEstimatesRead compares the uncached read path (flush every
-// pooled batcher + snapshot + calibrate + marshal per request — the
-// non-streaming handler) against the generation-stamped cached path
-// (streaming handler: one pre-marshaled payload per publish interval),
-// at 1 and 64 concurrent readers over a 1024-bit domain.
+// BenchmarkEstimatesRead times the generation-stamped cached read path
+// (one pre-marshaled payload per publish interval) at 1 and 64
+// concurrent readers over a 1024-bit domain.
 func BenchmarkEstimatesRead(b *testing.B) {
 	const bits = 1024
 	est := synthEstimator(bits)
@@ -66,68 +64,21 @@ func BenchmarkEstimatesRead(b *testing.B) {
 		counts[i] = int64(1000 + i%97)
 	}
 
-	newUncached := func(b *testing.B) *Handler {
-		h, err := New(bits, est, server.WithShards(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { h.Close() })
-		if err := h.sink.AddCounts(append([]int64(nil), counts...), 100000); err != nil {
-			b.Fatal(err)
-		}
-		// Populate the batcher pool so per-read flushAll sweeps real
-		// batchers, as it would under live ingest.
-		for i := 0; i < 8; i++ {
-			h.putBatcher(h.getBatcher())
-		}
-		return h
-	}
-	newCached := func(b *testing.B) *Handler {
-		h, err := NewStreaming(bits, est, StreamConfig{Interval: time.Millisecond, Window: 16},
-			server.WithShards(2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { h.Close() })
-		if err := h.sink.AddCounts(append([]int64(nil), counts...), 100000); err != nil {
-			b.Fatal(err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			h.stream.mu.Lock()
-			n := h.stream.n
-			h.stream.mu.Unlock()
-			if n == 100000 {
-				break
+	for _, readers := range []int{1, 64} {
+		b.Run(fmt.Sprintf("cached/readers=%d", readers), func(b *testing.B) {
+			h, err := NewStreaming(bits, est, StreamConfig{Interval: time.Millisecond, Window: 16},
+				server.WithShards(2))
+			if err != nil {
+				b.Fatal(err)
 			}
-			if time.Now().After(deadline) {
-				b.Fatal("stream never absorbed the preload")
+			b.Cleanup(func() { h.Close() })
+			if err := h.sink.AddCounts(append([]int64(nil), counts...), 100000); err != nil {
+				b.Fatal(err)
 			}
-			time.Sleep(time.Millisecond)
-		}
-		return h
-	}
-
-	read := func(h *Handler) func() {
-		return func() {
-			w := &discardWriter{}
-			r := httptest.NewRequest(http.MethodGet, "/v1/estimates", nil)
-			h.ServeHTTP(w, r)
-		}
-	}
-	for _, bench := range []struct {
-		name    string
-		build   func(*testing.B) *Handler
-		readers int
-	}{
-		{"uncached/readers=1", newUncached, 1},
-		{"uncached/readers=64", newUncached, 64},
-		{"cached/readers=1", newCached, 1},
-		{"cached/readers=64", newCached, 64},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			h := bench.build(b)
-			benchReaders(b, bench.readers, read(h))
+			waitStreamN(b, h.stream, 100000)
+			benchReaders(b, readers, func() {
+				h.ServeHTTP(&discardWriter{}, httptest.NewRequest(http.MethodGet, "/v1/estimates", nil))
+			})
 		})
 	}
 }

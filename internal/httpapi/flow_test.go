@@ -9,13 +9,13 @@ import (
 
 func flowHandler(t *testing.T) *Handler {
 	t.Helper()
-	h, err := New(8, func(counts []int64, n int) ([]float64, error) {
+	h, err := NewStreaming(8, func(counts []int64, n int) ([]float64, error) {
 		out := make([]float64, len(counts))
 		for i, c := range counts {
 			out[i] = float64(c) / float64(n)
 		}
 		return out, nil
-	})
+	}, fastStream)
 	if err != nil {
 		t.Fatal(err)
 	}

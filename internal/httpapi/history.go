@@ -278,8 +278,13 @@ func (ls *liveState) sseBackfill(w http.ResponseWriter, rc *http.ResponseControl
 // reset, and the pre-reset total is carried forward so every series
 // stays monotone). Optional ?good=&bad=&target= recomputes the SLO
 // burn rate per entry from the named counters' interval deltas using
-// the live engine's arithmetic (slo.Burn).
+// the live engine's arithmetic (slo.Burn). Without a history log it
+// answers 501.
 func (ls *liveState) serveMetricsHistory(w http.ResponseWriter, r *http.Request) {
+	if ls.hist == nil {
+		httpError(w, http.StatusNotImplemented, "history is not enabled on this server")
+		return
+	}
 	q := r.URL.Query()
 	var from uint64
 	to := uint64(math.MaxUint64)

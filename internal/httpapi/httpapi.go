@@ -1,42 +1,40 @@
-// Package httpapi exposes the collection pipeline over HTTP/JSON — the
-// REST counterpart of the raw-TCP transport, for clients that cannot
-// speak the binary frame protocol (browsers, mobile SDKs). Endpoints:
+// Package httpapi serves the collection pipeline to HTTP/JSON clients
+// that cannot speak the framed TCP protocol (browsers, mobile SDKs,
+// dashboards). Fleet peers never use it: register, heartbeat, delta
+// push and snapshot poll all run over framed TCP (internal/transport).
+// Endpoints:
 //
 //	POST /v1/report            {"words": [..], "bits": n}   one perturbed report
 //	POST /v1/batch             {"counts": [..], "n": k}     pre-summed batch
 //	GET  /v1/estimates         calibrated estimates; ?window=k restricts to the
-//	                           last k stream intervals (streaming handlers only);
-//	                           ?at=<seq|time> and ?from=..&to=.. answer from the
-//	                           history log, 410 past retention; a generation or
-//	                           settled span read before is served from a bounded
-//	                           cache of immutable bodies (history-enabled
-//	                           handlers only)
+//	                           last k stream intervals; ?at=<seq|time> and
+//	                           ?from=..&to=.. answer from the history log, 410
+//	                           past retention; a generation or settled span read
+//	                           before is served from a bounded cache of
+//	                           immutable bodies (history-enabled handlers only)
 //	GET  /v1/estimates/stream  Server-Sent Events: one "estimate" event per
-//	                           published interval (streaming handlers only);
-//	                           Last-Event-ID resumes via a history backfill
+//	                           published interval; Last-Event-ID resumes via a
+//	                           history backfill
 //	GET  /v1/metrics/history   journaled telemetry snapshots over a generation
 //	                           range, counters healed monotone across restarts
 //	                           (history-enabled handlers only)
 //	GET  /v1/readstats         read-path cache/hub counters: generation,
 //	                           calibrations, hits/misses/bytes, SSE subscribers
-//	                           (streaming handlers only)
 //	GET  /v1/status            {"reports": k, "bits": m}
-//	GET  /v1/snapshot          {"counts": [..], "n": k, "bits": m}; ?format=packed
-//	                           returns the varpack payload instead of counts;
-//	                           HMAC-gated after RequireSnapshotAuth
 //	GET  /v1/stats             runtime metrics (server.Stats)
 //	GET  /v1/healthz           liveness: 200 while the process serves HTTP
 //	GET  /v1/readyz            readiness: 200 while new reports are admitted,
 //	                           503 while draining, saturated, or closed
 //
+// The four read routes (estimates, stream, readstats, metrics/history)
+// are one table over one live state (see stream.go), mounted both by the
+// node Handler here and by the merger's LiveHandler over a fleet's
+// merged stream. A merger additionally serves GET /v1/fleet (registry.go).
+//
 // Ingest endpoints are flow-controlled: a draining or saturated runtime
 // answers 429 Too Many Requests with a Retry-After hint instead of
 // silently dropping — the client still owns the report and re-sends
 // after backing off (see internal/flow).
-//
-// A merger additionally mounts the control-plane endpoints (see
-// registry.go): POST /v1/register, /v1/heartbeat, /v1/delta and
-// GET /v1/fleet.
 //
 // As with the TCP transport, only perturbed data crosses the wire; the
 // server is untrusted with raw inputs by construction.
@@ -46,18 +44,14 @@
 // batchers shared across requests: each accepted report is decoded into a
 // pooled buffer and folded into a pooled Batcher via the word-level
 // zero-allocation path (Batcher.AddWords), never materializing a
-// bitvec.Vector. Status and snapshot reads flush every pooled batcher
-// first, so they stay consistent with all accepted reports. Estimates
-// reads on streaming handlers instead serve a generation-stamped cache
-// refreshed once per published interval (see stream.go) — they never
-// take batcher locks, so heavy dashboard read traffic cannot serialize
-// against ingest, and their staleness is bounded by the publish
-// interval. Tune the runtime with server.Option values passed to New,
-// and Close the handler to stop the shard workers.
-//
-// The snapshot endpoint is the HTTP face of the fleet protocol: a merge
-// collector (internal/fleet) polls it from several nodes and sums the
-// counts into an exact global aggregate.
+// bitvec.Vector. A status read flushes every pooled batcher first, so it
+// counts every accepted report; the pool is also flushed once per publish
+// interval. Estimates reads serve a generation-stamped cache refreshed
+// once per published interval (see stream.go) — they never take batcher
+// locks, so heavy dashboard read traffic cannot serialize against
+// ingest, and their staleness is bounded by the publish interval. Tune
+// the runtime with server.Option values passed to NewStreaming, and
+// Close the handler to stop the shard workers.
 package httpapi
 
 import (
@@ -70,10 +64,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"idldp/internal/registry"
 	"idldp/internal/server"
 	"idldp/internal/telemetry"
-	"idldp/internal/varpack"
 )
 
 // Estimator calibrates aggregated counts; satisfied by closures over
@@ -87,19 +79,16 @@ type lockedBatcher struct {
 	b  *server.Batcher
 }
 
-// Handler serves the collection API for an m-bit report domain.
+// Handler serves the collection API for an m-bit report domain: ingest
+// into a sharded runtime, and the read routes over its delta stream.
 type Handler struct {
-	bits     int
-	sink     *server.Server
-	estimate Estimator
-	mux      *http.ServeMux
-	snapAuth *registry.Authenticator
-
-	closed atomic.Bool
-
-	// Live-estimates state (nil unless built with a streaming
-	// constructor; see stream.go).
+	bits   int
+	sink   *server.Server
 	stream *liveState
+	mux    *http.ServeMux
+
+	closed    atomic.Bool
+	flushStop chan struct{} // ends flushLoop; closed by the first Close
 
 	// Reused request-body buffers for the report fast path.
 	bodies sync.Pool // *reportBody
@@ -114,41 +103,67 @@ type Handler struct {
 	batchers []*lockedBatcher
 }
 
-// New returns a handler for m-bit reports calibrated by est. Options tune
-// the sharded ingestion runtime, e.g. server.WithShards.
-func New(bits int, est Estimator, opts ...server.Option) (*Handler, error) {
-	if bits <= 0 {
-		return nil, fmt.Errorf("httpapi: report length %d must be positive", bits)
-	}
-	sink, err := server.New(bits, opts...)
+// NewStreaming returns a handler for m-bit reports calibrated by est,
+// over an ingestion runtime built with opts (e.g. server.WithShards)
+// plus server.WithStream at cfg.Interval.
+func NewStreaming(bits int, est Estimator, cfg StreamConfig, opts ...server.Option) (*Handler, error) {
+	sink, err := server.New(bits, append(opts, server.WithStream(cfg.Interval))...)
 	if err != nil {
 		return nil, fmt.Errorf("httpapi: %w", err)
 	}
-	return NewSink(sink, est)
+	return NewSinkStreaming(sink, est, cfg)
 }
 
-// NewSink wraps an already-built ingestion runtime — the hook for
-// runtimes constructed with server.Restore. The handler takes ownership
-// of sink: Close closes it.
-func NewSink(sink *server.Server, est Estimator) (*Handler, error) {
-	if est == nil {
+// NewSinkStreaming wraps an already-built ingestion runtime — the hook
+// for runtimes constructed with server.Restore. The sink must have been
+// built with server.WithStream. The handler takes ownership of sink:
+// Close closes it, and so does a failed construction.
+func NewSinkStreaming(sink *server.Server, est Estimator, cfg StreamConfig) (*Handler, error) {
+	sub, err := sink.Subscribe(16)
+	if err != nil {
 		sink.Close()
-		return nil, fmt.Errorf("httpapi: estimator is required")
+		return nil, fmt.Errorf("httpapi: %w", err)
 	}
-	h := &Handler{bits: sink.Bits(), sink: sink, estimate: est, mux: http.NewServeMux()}
+	live, err := newLiveState(sub, sink.Bits(), est, cfg.Window, cfg.History)
+	if err != nil {
+		sink.Close() // and with it sub
+		return nil, err
+	}
+	h := &Handler{bits: sink.Bits(), sink: sink, stream: live, mux: http.NewServeMux(), flushStop: make(chan struct{})}
 	h.bodies.New = func() any { return new(reportBody) }
 	h.mux.HandleFunc("POST /v1/report", h.handleReport)
 	h.mux.HandleFunc("POST /v1/batch", h.handleBatch)
-	h.mux.HandleFunc("GET /v1/estimates", h.handleEstimates)
-	h.mux.HandleFunc("GET /v1/estimates/stream", h.handleStream)
-	h.mux.HandleFunc("GET /v1/readstats", h.handleReadStats)
-	h.mux.HandleFunc("GET /v1/metrics/history", h.handleMetricsHistory)
 	h.mux.HandleFunc("GET /v1/status", h.handleStatus)
-	h.mux.HandleFunc("GET /v1/snapshot", h.handleSnapshot)
 	h.mux.HandleFunc("GET /v1/stats", h.handleStats)
-	h.mux.HandleFunc("GET /v1/healthz", handleHealthz)
-	h.mux.HandleFunc("GET /v1/readyz", h.handleReadyz)
+	health := NewHealth(h.ready)
+	h.mux.Handle("/v1/healthz", health)
+	h.mux.Handle("/v1/readyz", health)
+	live.mount(h.mux)
+	// Without other readers, reports POSTed to /v1/report sit in the
+	// pooled batchers below the batch threshold and the runtime's
+	// publisher never sees them. Flush on the publish cadence so
+	// HTTP-ingested reports reach the live feed within ~two intervals.
+	interval := cfg.Interval
+	if interval <= 0 {
+		interval = server.DefaultStreamInterval
+	}
+	go h.flushLoop(interval)
 	return h, nil
+}
+
+// flushLoop pushes the pooled batchers' pending reports into the
+// runtime every interval until Close.
+func (h *Handler) flushLoop(interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	for {
+		select {
+		case <-t.C:
+			h.flushAll()
+		case <-h.flushStop:
+			return
+		}
+	}
 }
 
 // BeginDrain flips the ingestion runtime into graceful-drain mode: new
@@ -158,18 +173,16 @@ func NewSink(sink *server.Server, est Estimator) (*Handler, error) {
 func (h *Handler) BeginDrain() { h.sink.BeginDrain() }
 
 // SetTelemetry mounts the Prometheus exposition page at GET /metrics on
-// the handler's mux and registers the cached-read-path metric views
-// (streaming handlers only; nil reg is a no-op). The ingestion
-// runtime's own metrics appear when the sink was built with
-// server.WithTelemetry on the same registry. Call before serving.
+// the handler's mux and registers the cached-read-path metric views (nil
+// reg is a no-op). The ingestion runtime's own metrics appear when the
+// sink was built with server.WithTelemetry on the same registry. Call
+// before serving.
 func (h *Handler) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	h.mux.Handle("GET /metrics", reg.Handler())
-	if h.stream != nil {
-		h.stream.registerMetrics(reg)
-	}
+	h.stream.registerMetrics(reg)
 }
 
 // SetSLO mounts an SLO report endpoint (slo.Engine.Handler) at
@@ -182,35 +195,14 @@ func (h *Handler) SetSLO(report http.Handler) {
 	h.mux.Handle("GET /v1/slo", report)
 }
 
-// RequireSnapshotAuth gates GET /v1/snapshot behind the fleet-token
-// HMAC (headers X-Idldp-Time and X-Idldp-Mac, optional X-Idldp-Node;
-// see registry.SignSnapshotHTTP). Ingest endpoints stay open — they carry
-// only perturbed data. Call before the handler starts serving.
-func (h *Handler) RequireSnapshotAuth(a *registry.Authenticator) { h.snapAuth = a }
-
-// verifySnapshotHeaders checks the auth headers against a (nil = open).
-func verifySnapshotHeaders(r *http.Request, a *registry.Authenticator) error {
-	if a == nil {
-		return nil
-	}
-	node, ts, mac, err := registry.SnapshotHTTPFields(r)
-	if err != nil {
-		return err
-	}
-	return a.Verify(mac, registry.KindSnapshot, node, 0, ts, nil, time.Now())
-}
-
 // Close flushes the pooled batchers and stops the ingestion runtime.
-// Ingestion requests after Close are answered with 503; status, snapshot
-// and estimates keep serving the drained final state.
+// Ingestion requests after Close are answered with 503; status and
+// estimates keep serving the drained final state.
 func (h *Handler) Close() error {
-	if h.stream != nil {
-		h.stream.flushOnce.Do(func() { close(h.stream.flushStop) })
+	if !h.closed.Swap(true) {
+		close(h.flushStop)
+		h.flushAll()
 	}
-	if h.closed.Swap(true) {
-		return h.sink.Close()
-	}
-	h.flushAll()
 	return h.sink.Close()
 }
 
@@ -334,81 +326,9 @@ func (h *Handler) flushAll() {
 	}
 }
 
-// handleEstimates answers GET /v1/estimates. Streaming handlers serve
-// the generation-stamped cached read path (see stream.go): no batcher
-// flush, no per-request calibration, staleness bounded by the publish
-// interval. Non-streaming handlers keep the flush-and-calibrate path —
-// their exactness contract has no stream to ride. Either way, an empty
-// campaign is not a conflict: zero reports answer 200 with no
-// estimates.
-func (h *Handler) handleEstimates(w http.ResponseWriter, r *http.Request) {
-	if h.stream != nil {
-		h.stream.handleEstimates(w, r)
-		return
-	}
-	if r.URL.Query().Get("window") != "" {
-		httpError(w, http.StatusBadRequest, "windowed estimates need streaming enabled")
-		return
-	}
-	counts, n := h.snapshot()
-	if n == 0 {
-		writeBody(w, emptyBody(noWindow))
-		return
-	}
-	est, err := h.estimate(counts, int(n))
-	if err == nil {
-		var body []byte
-		if body, err = estimatesBody(est, n, noWindow); err == nil {
-			writeBody(w, body)
-			return
-		}
-	}
-	httpError(w, http.StatusInternalServerError, err.Error())
-}
-
-func (h *Handler) handleStream(w http.ResponseWriter, r *http.Request) {
-	if h.stream == nil {
-		httpError(w, http.StatusNotImplemented, "streaming is not enabled on this server")
-		return
-	}
-	h.stream.serveSSE(w, r)
-}
-
-func (h *Handler) handleReadStats(w http.ResponseWriter, r *http.Request) {
-	if h.stream == nil {
-		httpError(w, http.StatusNotImplemented, "streaming is not enabled on this server")
-		return
-	}
-	writeJSON(w, h.stream.readStats())
-}
-
-func (h *Handler) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if h.stream == nil || h.stream.hist == nil {
-		httpError(w, http.StatusNotImplemented, "history is not enabled on this server")
-		return
-	}
-	h.stream.serveMetricsHistory(w, r)
-}
-
 func (h *Handler) handleStatus(w http.ResponseWriter, r *http.Request) {
 	_, n := h.snapshot()
 	writeJSON(w, map[string]any{"reports": n, "bits": h.bits})
-}
-
-func (h *Handler) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if err := verifySnapshotHeaders(r, h.snapAuth); err != nil {
-		httpError(w, http.StatusUnauthorized, err.Error())
-		return
-	}
-	counts, n := h.snapshot()
-	// ?format=packed selects the varpack payload (base64 in JSON): the
-	// poll-every-interval fleet path. Absent or different, the plain
-	// counts array keeps old pollers working.
-	if r.URL.Query().Get("format") == "packed" {
-		writeJSON(w, map[string]any{"packed": varpack.Pack(counts), "n": n, "bits": h.bits})
-		return
-	}
-	writeJSON(w, map[string]any{"counts": counts, "n": n, "bits": h.bits})
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -421,33 +341,26 @@ func handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"ok": true})
 }
 
-// handleReadyz is readiness: 200 while the collector admits new
-// reports, 503 once it is draining, saturated, or closed — the signal
-// load balancers and orchestrators use to route traffic away BEFORE
-// the listener stops.
-func (h *Handler) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	reason := ""
+// ready is readiness: true while the collector admits new reports,
+// false once it is draining, saturated, or closed — the signal load
+// balancers and orchestrators use to route traffic away BEFORE the
+// listener stops.
+func (h *Handler) ready() (bool, string) {
 	switch {
 	case h.closed.Load():
-		reason = "closed"
+		return false, "closed"
 	case h.sink.Draining():
-		reason = "draining"
+		return false, "draining"
 	case h.sink.Saturated():
-		reason = "saturated"
+		return false, "saturated"
 	}
-	if reason != "" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		_ = json.NewEncoder(w).Encode(map[string]any{"ready": false, "reason": reason})
-		return
-	}
-	writeJSON(w, map[string]any{"ready": true})
+	return true, ""
 }
 
-// NewHealth returns a standalone health surface — GET /v1/healthz
-// (liveness, always 200) and GET /v1/readyz (200 while ready reports
-// true, 503 with the reason otherwise) — for processes whose main
-// handler is not an ingest Handler, like the merger daemons.
+// NewHealth returns a health surface — GET /v1/healthz (liveness, always
+// 200) and GET /v1/readyz (200 while ready reports true, 503 with the
+// reason otherwise). The node Handler mounts one over its runtime's
+// readiness; the merger daemon mounts one over its own.
 func NewHealth(ready func() (bool, string)) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", handleHealthz)

@@ -19,20 +19,23 @@ import (
 	"idldp/internal/telemetry"
 )
 
-func newServer(t *testing.T) (*httptest.Server, *core.Engine) {
+// fastStream publishes a generation every 2 ms.
+var fastStream = StreamConfig{Interval: 2 * time.Millisecond}
+
+func newServer(t *testing.T) (*httptest.Server, *Handler, *core.Engine) {
 	t.Helper()
 	e, err := core.New(core.Config{Budgets: budget.ToyExample(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(e.M(), e.EstimateSingle, server.WithShards(2), server.WithBatchSize(16))
+	h, err := NewStreaming(e.M(), e.EstimateSingle, fastStream, server.WithShards(2), server.WithBatchSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { h.Close() })
-	return srv, e
+	return srv, h, e
 }
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -50,16 +53,16 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, func([]int64, int) ([]float64, error) { return nil, nil }); err == nil {
+	if _, err := NewStreaming(0, func([]int64, int) ([]float64, error) { return nil, nil }, fastStream); err == nil {
 		t.Error("bits=0 accepted")
 	}
-	if _, err := New(5, nil); err == nil {
+	if _, err := NewStreaming(5, nil, fastStream); err == nil {
 		t.Error("nil estimator accepted")
 	}
 }
 
 func TestReportAndEstimates(t *testing.T) {
-	srv, e := newServer(t)
+	srv, h, e := newServer(t)
 	r := rng.New(2)
 	const n = 8000
 	truth := make([]float64, 5)
@@ -72,6 +75,7 @@ func TestReportAndEstimates(t *testing.T) {
 			t.Fatalf("report status %d", resp.StatusCode)
 		}
 	}
+	waitStreamN(t, h.stream, n)
 	resp, err := http.Get(srv.URL + "/v1/estimates")
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +99,7 @@ func TestReportAndEstimates(t *testing.T) {
 }
 
 func TestBatchEndpoint(t *testing.T) {
-	srv, _ := newServer(t)
+	srv, _, _ := newServer(t)
 	resp := postJSON(t, srv.URL+"/v1/batch", batchBody{Counts: []int64{5, 4, 3, 2, 1}, N: 10})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("batch status %d", resp.StatusCode)
@@ -118,7 +122,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestRejectsMalformedRequests(t *testing.T) {
-	srv, _ := newServer(t)
+	srv, _, _ := newServer(t)
 	cases := []struct {
 		path string
 		body string
@@ -145,7 +149,7 @@ func TestRejectsMalformedRequests(t *testing.T) {
 // TestEstimatesBeforeReports: an empty campaign is not an error — the
 // estimates endpoint answers 200 with zero reports and no estimates.
 func TestEstimatesBeforeReports(t *testing.T) {
-	srv, _ := newServer(t)
+	srv, _, _ := newServer(t)
 	resp, err := http.Get(srv.URL + "/v1/estimates")
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +175,7 @@ func TestClosedHandlerRefusesIngestKeepsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(e.M(), e.EstimateSingle)
+	h, err := NewStreaming(e.M(), e.EstimateSingle, fastStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +210,7 @@ func TestClosedHandlerRefusesIngestKeepsReads(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv, _ := newServer(t)
+	srv, _, _ := newServer(t)
 	resp, err := http.Get(srv.URL + "/v1/report")
 	if err != nil {
 		t.Fatal(err)
@@ -218,9 +222,9 @@ func TestMethodNotAllowed(t *testing.T) {
 }
 
 func TestEstimatorErrorSurfaces(t *testing.T) {
-	h, err := New(3, func([]int64, int) ([]float64, error) {
+	h, err := NewStreaming(3, func([]int64, int) ([]float64, error) {
 		return nil, fmt.Errorf("boom")
-	})
+	}, fastStream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,6 +232,7 @@ func TestEstimatorErrorSurfaces(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	postJSON(t, srv.URL+"/v1/batch", batchBody{Counts: []int64{1, 1, 1}, N: 2})
+	waitStreamN(t, h.stream, 2)
 	resp, err := http.Get(srv.URL + "/v1/estimates")
 	if err != nil {
 		t.Fatal(err)
@@ -238,65 +243,11 @@ func TestEstimatorErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestSnapshotEndpoint checks /v1/snapshot, including that reports still
-// sitting in pooled batchers (batch size 16, fewer reports posted) are
-// flushed into the reply.
-func TestSnapshotEndpoint(t *testing.T) {
-	srv, e := newServer(t)
-
-	resp, err := http.Get(srv.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var empty struct {
-		Counts []int64 `json:"counts"`
-		N      int64   `json:"n"`
-		Bits   int     `json:"bits"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if empty.N != 0 || empty.Bits != e.M() || len(empty.Counts) != e.M() {
-		t.Fatalf("empty snapshot: %+v", empty)
-	}
-
-	const reports = 7
-	r := rng.New(5)
-	for u := 0; u < reports; u++ {
-		v := e.PerturbItem(u%e.M(), r)
-		resp := postJSON(t, srv.URL+"/v1/report", map[string]any{"words": v.Words(), "bits": v.Len()})
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("report %d: status %d", u, resp.StatusCode)
-		}
-	}
-	resp2, err := http.Get(srv.URL + "/v1/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var snap struct {
-		Counts []int64 `json:"counts"`
-		N      int64   `json:"n"`
-	}
-	if err := json.NewDecoder(resp2.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.N != reports {
-		t.Fatalf("snapshot n = %d, want %d (pooled batchers must flush)", snap.N, reports)
-	}
-	var total int64
-	for _, c := range snap.Counts {
-		total += c
-	}
-	if total == 0 {
-		t.Fatal("snapshot counts all zero after ingesting reports")
-	}
-}
-
-// TestStatsEndpoint checks /v1/stats surfaces the runtime metrics.
+// TestStatsEndpoint checks /v1/stats surfaces the runtime metrics, and
+// that a status read flushes a report still sitting in a pooled batcher
+// (batch size 16) into the runtime.
 func TestStatsEndpoint(t *testing.T) {
-	srv, e := newServer(t)
+	srv, _, e := newServer(t)
 	r := rng.New(6)
 	v := e.PerturbItem(1, r)
 	postJSON(t, srv.URL+"/v1/report", map[string]any{"words": v.Words(), "bits": v.Len()})
@@ -340,7 +291,7 @@ func TestMetricsEndpointAndTraceHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := telemetry.NewRegistry("idldp")
-	h, err := New(e.M(), e.EstimateSingle,
+	h, err := NewStreaming(e.M(), e.EstimateSingle, fastStream,
 		server.WithShards(2), server.WithBatchSize(4), server.WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
@@ -394,10 +345,10 @@ func TestMetricsEndpointAndTraceHeader(t *testing.T) {
 		}
 		return string(body)
 	}
-	// Reports buffer in pooled batchers until a read flushes them; the
-	// estimates call forces that flush, then the scrape is polled until
-	// the shard consumers fold the flushed frames in.
-	if resp, err := http.Get(srv.URL + "/v1/estimates"); err != nil {
+	// Reports buffer in pooled batchers until a flush; the status read
+	// forces one, then the scrape is polled until the shard consumers
+	// fold the flushed frames in.
+	if resp, err := http.Get(srv.URL + "/v1/status"); err != nil {
 		t.Fatal(err)
 	} else {
 		resp.Body.Close()

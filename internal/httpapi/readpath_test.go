@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"idldp/internal/estimate"
+	"idldp/internal/history"
 	"idldp/internal/server"
 	"idldp/internal/stream"
 )
@@ -31,15 +33,14 @@ func synthEstimator(bits int) Estimator {
 	}
 }
 
-// waitStreamN polls until the handler's live state has absorbed n
-// reports.
-func waitStreamN(t *testing.T, h *Handler, n int64) {
+// waitStreamN polls until a live state has absorbed n reports.
+func waitStreamN(t testing.TB, ls *liveState, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		h.stream.mu.Lock()
-		got := h.stream.n
-		h.stream.mu.Unlock()
+		ls.mu.Lock()
+		got := ls.n
+		ls.mu.Unlock()
 		if got == n {
 			return
 		}
@@ -92,7 +93,7 @@ func TestCachedEstimatesBitIdenticalPerGeneration(t *testing.T) {
 		}
 		postBatch(t, ts, batch, 10)
 		cumN += 10
-		waitStreamN(t, h, cumN)
+		waitStreamN(t, h.stream, cumN)
 
 		want, err := est(cum, int(cumN))
 		if err != nil {
@@ -207,7 +208,7 @@ func TestDeadSSEClientExits(t *testing.T) {
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 	postBatch(t, ts, []int64{3, 1, 0, 0}, 5)
-	waitStreamN(t, h, 5)
+	waitStreamN(t, h.stream, 5)
 
 	fw := &failingWriter{ok: 0} // every payload write fails
 	req := httptest.NewRequest(http.MethodGet, "/v1/estimates/stream", nil)
@@ -379,7 +380,7 @@ func TestReadPathStress(t *testing.T) {
 	// Quiesce, then the cached body must match an uncached calibration
 	// of the authoritative runtime snapshot bit for bit.
 	counts, n := h.snapshot()
-	waitStreamN(t, h, n)
+	waitStreamN(t, h.stream, n)
 	want, err := base(counts, int(n))
 	if err != nil {
 		t.Fatal(err)
@@ -395,9 +396,9 @@ func TestReadPathStress(t *testing.T) {
 	}
 }
 
-// TestLiveHandlerOverMergedStream: NewLive serves the cached read
-// surface over a bare publisher — the shape idldp-merge mounts over the
-// fleet's merged stream.
+// TestLiveHandlerOverMergedStream: NewLiveWithHistory serves the cached
+// read surface over a bare publisher — the shape idldp-merge mounts over
+// the fleet's merged stream.
 func TestLiveHandlerOverMergedStream(t *testing.T) {
 	const bits = 8
 	pub, err := stream.NewPublisher(bits)
@@ -410,7 +411,7 @@ func TestLiveHandlerOverMergedStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	est := synthEstimator(bits)
-	lh, err := NewLive(sub, bits, est, 8)
+	lh, err := NewLiveWithHistory(sub, bits, est, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,19 +429,7 @@ func TestLiveHandlerOverMergedStream(t *testing.T) {
 	if err := pub.Publish(counts, 16); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		lh.ls.mu.Lock()
-		n := lh.ls.n
-		lh.ls.mu.Unlock()
-		if n == 16 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("live handler never absorbed the published frame")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitStreamN(t, lh.ls, 16)
 	want, err := est(counts, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -454,5 +443,63 @@ func TestLiveHandlerOverMergedStream(t *testing.T) {
 	code, body = getBody(t, ts, "/v1/readstats")
 	if code != 200 || !strings.Contains(string(body), `"calibrations"`) {
 		t.Fatalf("readstats: %d %s", code, body)
+	}
+}
+
+// TestHandlerAndLiveHandlerShareReadRoutes: a node Handler and a
+// LiveHandler over the same delta stream answer the read routes
+// byte-identically at one generation: one route table over one kind of
+// live state, whichever handler mounts it.
+func TestHandlerAndLiveHandlerShareReadRoutes(t *testing.T) {
+	const bits = 8
+	est := synthEstimator(bits)
+	openHist := func() *history.Store {
+		hist, err := history.Open(t.TempDir(), bits, history.Config{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { hist.Close() })
+		return hist
+	}
+	sink, err := server.New(bits, server.WithShards(2), server.WithStream(2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := sink.Subscribe(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh, err := NewLiveWithHistory(sub, bits, est, 8, openHist())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lh.Close()
+	h, err := NewSinkStreaming(sink, est, StreamConfig{Interval: 2 * time.Millisecond, Window: 8, History: openHist()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	node, live := httptest.NewServer(h), httptest.NewServer(lh)
+	defer node.Close()
+	defer live.Close()
+
+	gen := func(ls *liveState) uint64 { ls.mu.Lock(); defer ls.mu.Unlock(); return ls.seq }
+	var at uint64
+	for round := int64(1); round <= 4; round++ {
+		postBatch(t, node, []int64{round, 2, 0, round % 3, 1, 0, 4, round}, 5)
+		waitStreamN(t, h.stream, 5*round)
+		waitStreamN(t, lh.ls, 5*round)
+		if round == 2 {
+			at = gen(h.stream)
+		}
+	}
+	if g, lg := gen(h.stream), gen(lh.ls); g != lg {
+		t.Fatalf("node at generation %d, live handler at %d", g, lg)
+	}
+	for _, path := range []string{"/v1/estimates", "/v1/estimates?window=3", "/v1/estimates?at=" + strconv.FormatUint(at, 10)} {
+		code, want := getBody(t, node, path)
+		if got, body := getBody(t, live, path); code != 200 || got != 200 || string(body) != string(want) {
+			t.Fatalf("%s: node %d %s, live handler %d %s", path, code, want, got, body)
+		}
 	}
 }

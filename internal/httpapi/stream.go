@@ -12,16 +12,13 @@ import (
 
 	"idldp/internal/history"
 	"idldp/internal/readcache"
-	"idldp/internal/server"
 	"idldp/internal/stream"
 	"idldp/internal/telemetry"
 )
 
-// StreamConfig enables the live-estimates surface of the HTTP API:
-// GET /v1/estimates/stream (Server-Sent Events) and the window query
-// parameters of GET /v1/estimates. It rides the delta stream of the
-// ingestion runtime (server.WithStream), which the streaming
-// constructors enable automatically.
+// StreamConfig configures a Handler's live-estimates surface: the read
+// routes over the delta stream of its ingestion runtime
+// (server.WithStream, which NewStreaming enables).
 type StreamConfig struct {
 	// Interval paces the runtime's delta publisher (<= 0 selects
 	// server.DefaultStreamInterval).
@@ -47,11 +44,12 @@ const DefaultWindow = 60
 // clients can tell a quiet campaign from a dead connection.
 const sseKeepAlive = 15 * time.Second
 
-// liveState is the handler's live view of the delta stream, and the
-// heart of the read-path scale-out: one consumer goroutine folds frames
-// into the sliding window (whose cumulative shadow doubles as the
-// all-time accumulator), calibrates ONCE per generation, pre-marshals
-// the response bodies, and stamps them into a generation-keyed cache.
+// liveState is the live view of a delta stream behind the read routes of
+// a Handler or a LiveHandler, and the heart of the read-path scale-out:
+// one consumer goroutine folds frames into the sliding window (whose
+// cumulative shadow doubles as the all-time accumulator), calibrates
+// ONCE per generation, pre-marshals the response bodies, and stamps them
+// into a generation-keyed cache.
 // Readers — GET /v1/estimates, windowed queries, and every SSE client —
 // then cost a mutex acquisition and a byte copy, not a calibration:
 // N dashboard readers share one calibration per publish interval.
@@ -94,11 +92,6 @@ type liveState struct {
 	// hist, one per consumed generation — set under mu by
 	// registerMetrics; nil (no journaling) until then.
 	telReg *telemetry.Registry
-
-	// flushStop ends the periodic batcher flush (see Handler.flushLoop);
-	// unused by LiveHandler, which has no ingest side.
-	flushStop chan struct{}
-	flushOnce sync.Once
 }
 
 // registerMetrics exposes the cached read path on reg: calibration and
@@ -147,96 +140,46 @@ func (ls *liveState) registerMetrics(reg *telemetry.Registry) {
 	}
 }
 
-func newLiveState(win *stream.Window, est Estimator) *liveState {
-	return &liveState{
-		win:       win,
-		cache:     readcache.New(),
-		hub:       readcache.NewHub(),
-		est:       est,
-		flushStop: make(chan struct{}),
+// newLiveState is the one constructor of a read surface, for the node
+// Handler and LiveHandler alike: a window of the given capacity (<= 0
+// selects DefaultWindow) over an m-bit domain, the retained history
+// replayed into it when hist is non-nil, and then the consumer folding
+// sub. Replaying before consuming makes the ring hold the pre-restart
+// intervals bit-exactly with the live feed appended after them: the
+// stream feeding sub must have been resumed from the same log
+// (server.WithStreamResume, the startSeq of fleet.New), so its initial
+// resync equals the replayed state and folds into an empty implied
+// delta. The consumer ends when sub closes.
+func newLiveState(sub *stream.Sub, bits int, est Estimator, window int, hist *history.Store) (*liveState, error) {
+	if est == nil {
+		return nil, fmt.Errorf("httpapi: estimator is required")
 	}
-}
-
-// NewStreaming is New plus the live-estimates surface: the ingestion
-// runtime is built with server.WithStream and the handler serves
-// GET /v1/estimates/stream and windowed GET /v1/estimates queries.
-func NewStreaming(bits int, est Estimator, cfg StreamConfig, opts ...server.Option) (*Handler, error) {
-	if bits <= 0 {
-		return nil, fmt.Errorf("httpapi: report length %d must be positive", bits)
-	}
-	opts = append(opts, server.WithStream(cfg.Interval))
-	sink, err := server.New(bits, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("httpapi: %w", err)
-	}
-	return NewSinkStreaming(sink, est, cfg)
-}
-
-// NewSinkStreaming is NewSink plus the live-estimates surface. The sink
-// must have been built with server.WithStream; as with NewSink, the
-// handler takes ownership and Close closes it.
-func NewSinkStreaming(sink *server.Server, est Estimator, cfg StreamConfig) (*Handler, error) {
-	h, err := NewSink(sink, est)
-	if err != nil {
-		return nil, err
-	}
-	window := cfg.Window
 	if window <= 0 {
 		window = DefaultWindow
 	}
-	win, err := stream.NewWindow(sink.Bits(), window)
+	win, err := stream.NewWindow(bits, window)
 	if err != nil {
-		sink.Close()
 		return nil, fmt.Errorf("httpapi: %w", err)
 	}
-	// Replay the retained history into the window BEFORE subscribing, so
-	// the ring holds the pre-restart intervals bit-exactly and the live
-	// feed appends after them (the sink's publisher must have been
-	// resumed from the same store — server.WithStreamResume — so the
-	// subscription's initial resync equals the replayed state and folds
-	// into an empty implied delta).
-	if cfg.History != nil {
-		if err := cfg.History.Replay(window, win.Push); err != nil {
-			sink.Close()
+	if hist != nil {
+		if err := hist.Replay(window, win.Push); err != nil {
 			return nil, fmt.Errorf("httpapi: history replay: %w", err)
 		}
 	}
-	sub, err := sink.Subscribe(16)
-	if err != nil {
-		sink.Close()
-		return nil, fmt.Errorf("httpapi: %w", err)
-	}
-	h.stream = newLiveState(win, est)
-	h.stream.hist = cfg.History
-	go h.stream.consume(sub)
-	// Without other readers, reports POSTed to /v1/report sit in the
-	// pooled batchers below the batch threshold and the runtime's
-	// publisher never sees them. Flush on the publish cadence so
-	// HTTP-ingested reports reach the live feed within ~two intervals.
-	interval := cfg.Interval
-	if interval <= 0 {
-		interval = server.DefaultStreamInterval
-	}
-	go h.flushLoop(interval)
-	return h, nil
+	ls := &liveState{win: win, cache: readcache.New(), hub: readcache.NewHub(), est: est, hist: hist}
+	go ls.consume(sub)
+	return ls, nil
 }
 
-// flushLoop pushes the pooled batchers' pending reports into the
-// runtime every interval until Close.
-func (h *Handler) flushLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if h.closed.Load() {
-				return
-			}
-			h.flushAll()
-		case <-h.stream.flushStop:
-			return
-		}
-	}
+// mount registers the read routes on mux: one table for the node
+// Handler and LiveHandler.
+func (ls *liveState) mount(mux *http.ServeMux) {
+	mux.HandleFunc("GET /v1/estimates", ls.handleEstimates)
+	mux.HandleFunc("GET /v1/estimates/stream", ls.serveSSE)
+	mux.HandleFunc("GET /v1/readstats", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, ls.readStats())
+	})
+	mux.HandleFunc("GET /v1/metrics/history", ls.serveMetricsHistory)
 }
 
 // consume is the central subscriber: one goroutine per liveState that
@@ -593,14 +536,9 @@ func jsonError(err error) []byte {
 }
 
 // LiveHandler is the standalone read-only face of a merged delta
-// stream: the same cached live-estimates surface a streaming Handler
-// serves, minus the ingest endpoints. idldp-merge mounts one over the
-// fleet's merged stream so fleet-wide dashboards scale exactly like
-// single-node ones. Endpoints:
-//
-//	GET /v1/estimates         cached fleet-wide estimates; ?window=k
-//	GET /v1/estimates/stream  shared-payload SSE feed
-//	GET /v1/readstats         read-path cache and hub counters
+// stream: the read routes a Handler serves, minus the ingest endpoints.
+// idldp-merge mounts one over the fleet's merged stream so fleet-wide
+// dashboards scale exactly like single-node ones.
 type LiveHandler struct {
 	ls   *liveState
 	sub  *stream.Sub
@@ -608,57 +546,26 @@ type LiveHandler struct {
 	once sync.Once
 }
 
-// NewLive builds a read-only live surface over any delta-stream
-// subscription (fleet.Subscribe, Publisher.Subscribe, …) for an m-bit
-// domain. window <= 0 selects DefaultWindow. The handler owns sub:
-// Close closes it, which stops the consumer.
-func NewLive(sub *stream.Sub, bits int, est Estimator, window int) (*LiveHandler, error) {
-	return NewLiveWithHistory(sub, bits, est, window, nil)
-}
-
-// NewLiveWithHistory is NewLive plus the time-travel surface: frames
-// are spilled into hist, the window is replayed from it at construction
-// so the ring survives restarts, and the mux additionally answers
-// GET /v1/estimates?at/from/to and GET /v1/metrics/history. The stream
-// feeding sub must have been resumed past hist.LastSeq() (see
-// stream.WithResume / the startSeq of fleet.New) so the log's
-// generations never regress. nil hist is plain NewLive. The handler
-// does not own hist; the caller Closes it after the handler.
+// NewLiveWithHistory builds a read-only live surface over any
+// delta-stream subscription (fleet.Subscribe, Publisher.Subscribe, …)
+// for an m-bit domain; window <= 0 selects DefaultWindow. With a non-nil
+// hist, frames are spilled into it, the window is replayed from it at
+// construction so the ring survives restarts, and the time-travel reads
+// answer; the stream feeding sub must then have been resumed past
+// hist.LastSeq() (see stream.WithResume / the startSeq of fleet.New) so
+// the log's generations never regress. The handler owns sub: Close
+// closes it, which stops the consumer. It does not own hist; the caller
+// Closes it after the handler.
 func NewLiveWithHistory(sub *stream.Sub, bits int, est Estimator, window int, hist *history.Store) (*LiveHandler, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("httpapi: subscription is required")
 	}
-	if est == nil {
-		return nil, fmt.Errorf("httpapi: estimator is required")
-	}
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	win, err := stream.NewWindow(bits, window)
+	ls, err := newLiveState(sub, bits, est, window, hist)
 	if err != nil {
-		return nil, fmt.Errorf("httpapi: %w", err)
+		return nil, err
 	}
-	if hist != nil {
-		if err := hist.Replay(window, win.Push); err != nil {
-			return nil, fmt.Errorf("httpapi: history replay: %w", err)
-		}
-	}
-	ls := newLiveState(win, est)
-	ls.hist = hist
 	lh := &LiveHandler{ls: ls, sub: sub, mux: http.NewServeMux()}
-	lh.mux.HandleFunc("GET /v1/estimates", ls.handleEstimates)
-	lh.mux.HandleFunc("GET /v1/estimates/stream", ls.serveSSE)
-	lh.mux.HandleFunc("GET /v1/readstats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, ls.readStats())
-	})
-	lh.mux.HandleFunc("GET /v1/metrics/history", func(w http.ResponseWriter, r *http.Request) {
-		if ls.hist == nil {
-			httpError(w, http.StatusNotImplemented, "history is not enabled on this server")
-			return
-		}
-		ls.serveMetricsHistory(w, r)
-	})
-	go ls.consume(sub)
+	ls.mount(lh.mux)
 	return lh, nil
 }
 

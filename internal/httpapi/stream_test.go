@@ -10,7 +10,6 @@ import (
 
 	"idldp/internal/estimate"
 	"idldp/internal/server"
-	"idldp/internal/varpack"
 )
 
 // newStreamingHandler builds a streaming handler over a synthetic
@@ -186,70 +185,14 @@ func TestWindowedEstimatesEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamDisabledSurfaces: the endpoints answer predictably on a
-// non-streaming handler.
-func TestStreamDisabledSurfaces(t *testing.T) {
-	est := func(counts []int64, n int) ([]float64, error) {
-		out := make([]float64, len(counts))
-		for i, c := range counts {
-			out[i] = float64(c)
-		}
-		return out, nil
-	}
-	h, err := New(3, est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	ts := httptest.NewServer(h)
+// TestHistoryDisabledSurfaces: the time-travel reads answer 501 on a
+// handler without a history log.
+func TestHistoryDisabledSurfaces(t *testing.T) {
+	ts := httptest.NewServer(newStreamingHandler(t, 3, 4))
 	defer ts.Close()
-	for url, want := range map[string]int{
-		ts.URL + "/v1/estimates/stream":   501,
-		ts.URL + "/v1/estimates?window=4": 400,
-	} {
-		resp, err := ts.Client().Get(url)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Fatalf("%s returned %d, want %d", url, resp.StatusCode, want)
-		}
-	}
-}
-
-// TestPackedSnapshotEndpoint: ?format=packed returns a varpack payload
-// that decodes to the plain snapshot.
-func TestPackedSnapshotEndpoint(t *testing.T) {
-	const bits = 4
-	h := newStreamingHandler(t, bits, 4)
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	postBatch(t, ts, []int64{5, 0, 2, 1}, 9)
-	var packed struct {
-		Packed []byte `json:"packed"`
-		N      int64  `json:"n"`
-		Bits   int    `json:"bits"`
-	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/snapshot?format=packed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&packed); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if packed.N != 9 || packed.Bits != bits {
-		t.Fatalf("packed header n=%d bits=%d", packed.N, packed.Bits)
-	}
-	counts, err := varpack.Unpack(packed.Packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{5, 0, 2, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("packed counts[%d] = %d, want %d", i, counts[i], want[i])
+	for _, path := range []string{"/v1/metrics/history", "/v1/estimates?at=1", "/v1/estimates?from=0&to=1"} {
+		if code, _ := getBody(t, ts, path); code != 501 {
+			t.Fatalf("%s returned %d, want 501", path, code)
 		}
 	}
 }

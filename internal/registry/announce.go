@@ -28,8 +28,8 @@ import (
 	"idldp/internal/varpack"
 )
 
-// Conn is one connection to a merger's control plane. Implementations:
-// transport.RegistryConn (framed TCP) and DialHTTP here (HTTP/JSON).
+// Conn is one connection to a merger's control plane, implemented by
+// transport.RegistryConn: framed TCP is the one carrier between peers.
 type Conn interface {
 	Register(ctx context.Context, req RegisterRequest) (RegisterReply, error)
 	Heartbeat(ctx context.Context, hb Heartbeat) error

@@ -32,8 +32,7 @@
 // that restarts, or a connection that drops all funnel into "new
 // session, full cumulative resync first", after which deltas resume.
 // The Announcer (announce.go) is the node-side loop implementing that
-// contract on top of any Conn transport (framed TCP in internal/transport,
-// HTTP in httpconn.go).
+// contract on top of a Conn (framed TCP, internal/transport).
 //
 // Mergers compose into tiers: a Registry exposes its merged state as a
 // delta stream (Subscribe), which an Announcer can push to a higher-tier

@@ -25,7 +25,7 @@ const (
 	writeBufSize = 32 << 10
 
 	// Caps on every length prefix, checked before anything is allocated.
-	// An ingest server tightens the first two to its own domain size.
+	// A reader that knows its domain size tightens the first three to it.
 	maxDomainBits = 1 << 24
 	maxWords      = maxDomainBits / 64 // Frame.Words
 	maxCounts     = maxDomainBits      // Frame.Counts
@@ -304,20 +304,22 @@ func exchange(w *frameWriter, r *frameReader, f, reply *Frame) error {
 
 // frameReader decodes one direction of a connection.
 type frameReader struct {
-	br                  *bufio.Reader
-	maxWords, maxCounts int
+	br                             *bufio.Reader
+	maxWords, maxCounts, maxPacked int
 
 	started bool // preamble checked
 }
 
-// newFrameReader reads frames from r. bits > 0 is the reader's own
-// domain size (an ingest server): Words and Counts longer than an m-bit
-// report or batch are refused before they are read. bits == 0 applies
-// the package caps.
+// newFrameReader reads frames from r. bits > 0 is the domain size the
+// reader expects (an ingest server's own, or that of the node a merger
+// polls): Words, Counts and Packed longer than an m-bit report, batch or
+// varpack snapshot (a version byte, then m+1 varints at most) are
+// refused before they are read. bits == 0 applies the package caps.
 func newFrameReader(r io.Reader, bits int) *frameReader {
-	fr := &frameReader{br: bufio.NewReaderSize(r, readBufSize), maxWords: maxWords, maxCounts: maxCounts}
+	fr := &frameReader{br: bufio.NewReaderSize(r, readBufSize), maxWords: maxWords, maxCounts: maxCounts, maxPacked: maxPacked}
 	if bits > 0 {
 		fr.maxWords, fr.maxCounts = min(maxWords, (bits+63)/64), min(maxCounts, bits)
+		fr.maxPacked = min(maxPacked, 1+binary.MaxVarintLen64*(bits+1))
 	}
 	return fr
 }
@@ -487,7 +489,7 @@ func (r *frameReader) fields(f *Frame) (err error) {
 		}
 	}
 	if has&hasPacked != 0 {
-		if f.Packed, err = r.bytes(f.Packed, maxPacked, "packed"); err != nil {
+		if f.Packed, err = r.bytes(f.Packed, r.maxPacked, "packed"); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,8 @@ package transport
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +16,8 @@ import (
 // TestHeartbeatTelemetryOverTCP proves the packed snapshot survives the
 // frame round trip: a real node announces over TCP, its heartbeats
 // carry telemetry, and the merger's federation converges to a fold that
-// is bit-exact equal to the node's own snapshot.
+// is bit-exact equal to the node's own snapshot and renders on the
+// merger's combined /metrics page.
 func TestHeartbeatTelemetryOverTCP(t *testing.T) {
 	auth := testAuth(t, "fleet-token")
 	reg, err := registry.New(8, registry.WithAuth(auth), registry.WithHeartbeat(40*time.Millisecond, 5))
@@ -70,5 +73,23 @@ func TestHeartbeatTelemetryOverTCP(t *testing.T) {
 	ms := reg.Federation().Members()
 	if len(ms) != 1 || ms[0].Node != "node-0" || ms[0].Tier != "node" {
 		t.Fatalf("federation members: %+v", ms)
+	}
+
+	// The merger daemon's one scrape surface: its own series, the
+	// federated fold and the membership gauges.
+	mergerTel := telemetry.NewRegistry("idldp")
+	mergerTel.Counter("own_counter", "merger-local series").Add(3)
+	rec := httptest.NewRecorder()
+	telemetry.HandlerFor(mergerTel, reg.Federation(), reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range []string{
+		"idldp_own_counter_total 3",
+		`idldp_fleet_ingest_reports_total{node="node-0",tier="node"} 7`,
+		"idldp_fleet_ingest_reports_total 7",
+		`idldp_fleet_member_up{node="node-0",tier="node"} 1`,
+		`idldp_fleet_member_heartbeat_age_seconds{node="node-0",tier="node"}`,
+	} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Fatalf("combined /metrics missing %q:\n%s", line, rec.Body.String())
+		}
 	}
 }

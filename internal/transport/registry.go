@@ -175,16 +175,16 @@ func (s *RegistryServer) Close() error {
 	return err
 }
 
-// DialControlPlane maps a merger target to an AnnounceConfig dialer:
-// "http://…" and "https://…" targets use the HTTP control plane,
-// "tcp://host:port" and bare "host:port" the framed-TCP one — the one
-// place the scheme decision lives for the facade and both CLIs.
-func DialControlPlane(target string) func(ctx context.Context) (registry.Conn, error) {
-	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
-		return func(context.Context) (registry.Conn, error) { return registry.DialHTTP(target), nil }
+// DialControlPlane maps a merger target, "tcp://host:port" or bare
+// "host:port", to an AnnounceConfig dialer. Any other scheme is refused
+// here, when the facade or a CLI starts, rather than dialed as an
+// address inside the announcer's retry loop.
+func DialControlPlane(target string) (func(ctx context.Context) (registry.Conn, error), error) {
+	addr, tcp := strings.CutPrefix(target, "tcp://")
+	if addr == "" || !tcp && strings.Contains(target, "://") {
+		return nil, fmt.Errorf("transport: unsupported scheme in merger target %q (want tcp://host:port)", target)
 	}
-	addr := strings.TrimPrefix(target, "tcp://")
-	return func(ctx context.Context) (registry.Conn, error) { return DialRegistry(ctx, addr) }
+	return func(ctx context.Context) (registry.Conn, error) { return DialRegistry(ctx, addr) }, nil
 }
 
 // RegistryConn is the node-side control-plane connection; it implements

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -398,6 +399,28 @@ func TestTwoTierBitEquivalence(t *testing.T) {
 	}
 	if midN != n {
 		t.Fatalf("mid tiers n = %d, top n = %d", midN, n)
+	}
+}
+
+// TestDialControlPlaneSchemes: a merger target is tcp://host:port or a
+// bare host:port; any other scheme is refused when the dialer is built,
+// before an announcer would retry it as an address.
+func TestDialControlPlaneSchemes(t *testing.T) {
+	for target, ok := range map[string]bool{
+		"tcp://127.0.0.1:7490":  true,
+		"127.0.0.1:7490":        true,
+		"http://127.0.0.1:8090": false,
+		"https://merger":        false,
+		"gopher://x":            false,
+		"tcp://":                false,
+	} {
+		dial, err := DialControlPlane(target)
+		if ok != (err == nil) || ok != (dial != nil) {
+			t.Errorf("DialControlPlane(%q) = %v, want ok=%v", target, err, ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "unsupported scheme") {
+			t.Errorf("DialControlPlane(%q) error %q does not name the scheme", target, err)
+		}
 	}
 }
 

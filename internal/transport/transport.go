@@ -11,7 +11,9 @@
 // merged counts; the fleet merger (internal/fleet) polls these to build
 // an exact cross-node aggregate. Snapshot replies are varpack-compressed
 // when the requester asks for it (Frame.AcceptPacked). The same frames
-// carry the fleet control plane (registry.go).
+// carry the fleet control plane (registry.go): framed TCP is the one
+// carrier between fleet peers, and HTTP (internal/httpapi) serves only
+// clients.
 //
 // # Wire layout
 //
@@ -35,13 +37,15 @@
 // decoder knows every field's extent from its prefix, and checks that
 // prefix against a cap before it allocates or reads anything: Words at
 // most 2^18 (a 2^24-bit domain), Counts 2^24, Packed 64 MB, MAC 64
-// bytes, strings 4 KB. An ingest server tightens the first two to its
-// own domain (Words <= ceil(m/64), Counts <= m). A preamble mismatch, an
-// unknown kind, a presence bit past the last known field or a length
-// over its cap ends the connection, as does a report or batch the
-// runtime refuses (Bits != m, counts outside [0, n]); the server counts
-// each such drop in ingest_malformed_total and keeps serving everyone
-// else.
+// bytes, strings 4 KB. A reader that knows its domain m — an ingest
+// server, or a merger polling an m-bit node (FetchSnapshot) — tightens
+// the first three to it: Words <= ceil(m/64), Counts <= m, Packed <=
+// 10(m+1)+1 bytes, the largest m-count varpack payload. A preamble
+// mismatch, an unknown kind, a presence bit past the last known field or
+// a length over its cap ends the connection, as does a report or batch
+// the runtime refuses (Bits != m, counts outside [0, n]); the server
+// counts each such drop in ingest_malformed_total and keeps serving
+// everyone else.
 //
 // Compatibility is the version byte: fields may be appended to Frame
 // under the same version only if every deployed decoder already knows
@@ -87,6 +91,7 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -530,6 +535,36 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry) {
 // so the server answers with the compact varpack payload; a plain Counts
 // reply decodes the same.
 func (c *Client) Snapshot() (counts []int64, n int64, bits int, err error) {
+	return c.snapshot(0)
+}
+
+// FetchSnapshot is one merger poll of the server at addr (see
+// internal/fleet): a snapshot request, signed when auth is non-nil, on a
+// fresh connection bounded by ctx's deadline, so a node restart never
+// wedges the poller on a dead stream. The reply is read as an m-bit
+// node's, m = bits: its length prefixes are capped from m, and a reply
+// for another domain size, or a packed payload declaring another count,
+// is refused before it is decoded. Whatever answers on addr allocates no
+// more than a genuine m-bit snapshot would.
+func FetchSnapshot(ctx context.Context, addr string, auth *registry.Authenticator, bits int) ([]int64, int64, error) {
+	c, err := Dial(ctx, addr)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer c.Close()
+	c.r = newFrameReader(c.conn, bits)
+	deadline, _ := ctx.Deadline() // the zero time sets none
+	if err := c.SetDeadline(deadline); err != nil {
+		return nil, 0, err
+	}
+	c.SetAuth(auth)
+	counts, n, _, err := c.snapshot(bits)
+	return counts, n, err
+}
+
+// snapshot is Snapshot refusing, when m > 0, a reply for any domain size
+// but m.
+func (c *Client) snapshot(m int) (counts []int64, n int64, bits int, err error) {
 	req := Frame{Kind: FrameSnapshotRequest, AcceptPacked: true}
 	if c.auth != nil {
 		req.TimeNano = time.Now().UnixNano()
@@ -545,13 +580,18 @@ func (c *Client) Snapshot() (counts []int64, n int64, bits int, err error) {
 	if f.Kind != FrameSnapshot {
 		return nil, 0, 0, fmt.Errorf("transport: unexpected frame kind %d in snapshot reply", f.Kind)
 	}
+	if m > 0 && f.Bits != m {
+		return nil, 0, 0, fmt.Errorf("transport: node has %d bits, want %d", f.Bits, m)
+	}
 	if len(f.Packed) > 0 {
+		// Every payload version declares its count after the version
+		// byte, and Unpack sizes its slice by it: check it first.
+		if declared, k := binary.Uvarint(f.Packed[1:]); k <= 0 || declared != uint64(f.Bits) {
+			return nil, 0, 0, fmt.Errorf("transport: packed snapshot declares %d counts for %d bits", declared, f.Bits)
+		}
 		counts, err := varpack.Unpack(f.Packed)
 		if err != nil {
 			return nil, 0, 0, fmt.Errorf("transport: %w", err)
-		}
-		if len(counts) != f.Bits {
-			return nil, 0, 0, fmt.Errorf("transport: packed snapshot has %d counts for %d bits", len(counts), f.Bits)
 		}
 		return counts, f.N, f.Bits, nil
 	}

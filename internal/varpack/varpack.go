@@ -14,8 +14,8 @@
 // peer that has the packed decoder can read frames from one that does
 // not, and the version byte leaves room to evolve the encoding again.
 // Negotiation is the transport's job: the framed TCP snapshot request
-// carries an accept-packed flag and the HTTP snapshot endpoint a
-// ?format=packed query, so old peers keep receiving the plain form.
+// carries an accept-packed flag, so old peers keep receiving the plain
+// form.
 //
 // Version 2 is the sparse interval delta (PackDelta). It has two
 // readers. UnpackDelta materializes the index and increment slices, for
