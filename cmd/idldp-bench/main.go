@@ -37,7 +37,7 @@ import (
 
 func main() {
 	var (
-		which   = flag.String("exp", "all", "experiment: table1, table2, fig3, fig4a, fig4b, fig5a, fig5b, ablations, or all")
+		which   = flag.String("exp", "all", "experiment: table1, table2, fig3, fig4a, fig4b, fig5a, fig5b, ablations, load, sweep, or all (every one but sweep)")
 		scale   = flag.String("scale", "ci", "ci (fast, reduced sizes) or paper (published sizes)")
 		reps    = flag.Int("reps", 1, "collection repetitions to average per point")
 		seed    = flag.Uint64("seed", 1, "experiment seed")

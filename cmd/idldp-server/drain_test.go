@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -108,6 +109,37 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
+// portRetries bounds how often a round of TestSIGTERMAtFirstReadyDrains
+// starts over on fresh ports: the ports freeAddrs picks are closed again
+// before run binds them, so a test running in parallel can take one.
+const portRetries = 3
+
+// awaitReady spins on base's /v1/readyz until it answers 200. If run
+// returns first, the error says so and wraps what run returned.
+func awaitReady(client *http.Client, base string, done <-chan error) error {
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := client.Get(base + "/v1/readyz")
+		if err == nil {
+			code := resp.StatusCode
+			resp.Body.Close()
+			if code == http.StatusOK {
+				return nil
+			}
+		}
+		select {
+		case err := <-done:
+			if err == nil {
+				return errors.New("run returned nil before readyz answered 200")
+			}
+			return fmt.Errorf("run returned before readyz answered 200: %w", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			return errors.New("readyz never answered 200")
+		}
+	}
+}
+
 // TestSIGTERMAtFirstReadyDrains: an orchestrator may signal the moment
 // /v1/readyz first answers 200, so the handler must already be installed
 // by then. Each round spins on readyz and signals on the first 200; a run
@@ -124,30 +156,26 @@ func TestSIGTERMAtFirstReadyDrains(t *testing.T) {
 	guard := make(chan os.Signal, 1)
 	signal.Notify(guard, syscall.SIGTERM)
 	defer signal.Stop(guard)
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	// The timeout keeps a port taken by some other listener from
+	// stalling a round: the Get fails and awaitReady sees run's error.
+	client := &http.Client{Timeout: time.Second, Transport: &http.Transport{DisableKeepAlives: true}}
 	for round := 0; round < 150; round++ {
-		addrs := freeAddrs(t, 2)
-		done := make(chan error, 1)
-		go func() {
-			done <- run(config{addr: addrs[0], shards: 1, batchSize: 64,
-				streamAddr: addrs[1], streamInterval: 20 * time.Millisecond, window: 8})
-		}()
-		for deadline := time.Now().Add(5 * time.Second); ; {
-			resp, err := client.Get("http://" + addrs[1] + "/v1/readyz")
-			if err == nil {
-				code := resp.StatusCode
-				resp.Body.Close()
-				if code == http.StatusOK {
-					break
-				}
-			}
-			select {
-			case err := <-done:
-				t.Fatalf("round %d: run returned before readyz answered 200: %v", round, err)
+		var done chan error
+		for attempt := 0; done == nil; attempt++ {
+			addrs := freeAddrs(t, 2)
+			ch := make(chan error, 1)
+			go func() {
+				ch <- run(config{addr: addrs[0], shards: 1, batchSize: 64,
+					streamAddr: addrs[1], streamInterval: 20 * time.Millisecond, window: 8})
+			}()
+			err := awaitReady(client, "http://"+addrs[1], ch)
+			switch {
+			case err == nil:
+				done = ch
+			case errors.Is(err, syscall.EADDRINUSE) && attempt < portRetries:
+				// Another test took a port between freeAddrs and run.
 			default:
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: readyz never answered 200", round)
+				t.Fatalf("round %d: %v", round, err)
 			}
 		}
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

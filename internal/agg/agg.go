@@ -36,20 +36,6 @@ func (a *Aggregator) Add(v *bitvec.Vector) {
 	a.n++
 }
 
-// AddWords accumulates one report given as packed words, validating it
-// like bitvec.FromWords but without materializing a Vector — the
-// zero-allocation twin of Add for reports that arrive as raw words.
-func (a *Aggregator) AddWords(words []uint64, bits int) error {
-	if bits != len(a.counts) {
-		return fmt.Errorf("agg: report has %d bits, domain has %d", bits, len(a.counts))
-	}
-	if err := bitvec.AccumulateWordsInto(words, bits, a.counts); err != nil {
-		return fmt.Errorf("agg: %w", err)
-	}
-	a.n++
-	return nil
-}
-
 // AddCounts accumulates a pre-summed batch: counts[i] is added bit-wise
 // and n users are recorded. Used by the network transport, which ships
 // partial sums instead of raw reports.

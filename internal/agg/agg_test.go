@@ -119,31 +119,3 @@ func TestEstimate(t *testing.T) {
 
 // Concurrent aggregation coverage lives in internal/server, which is the
 // sharded pipeline every concurrent deployment now runs on.
-
-func TestAddWordsMatchesAdd(t *testing.T) {
-	const m = 70
-	a, b := New(m), New(m)
-	v := bitvec.New(m)
-	for _, i := range []int{0, 13, 63, 64, 69} {
-		v.Set(i)
-	}
-	a.Add(v)
-	if err := b.AddWords(v.Words(), v.Len()); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != b.N() {
-		t.Fatalf("n: %d != %d", b.N(), a.N())
-	}
-	ca, cb := a.Counts(), b.Counts()
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("bit %d: %d != %d", i, cb[i], ca[i])
-		}
-	}
-	if err := b.AddWords(v.Words(), m-1); err == nil {
-		t.Fatal("bits mismatch accepted")
-	}
-	if err := b.AddWords(v.Words()[:1], m); err == nil {
-		t.Fatal("short words accepted")
-	}
-}
