@@ -318,14 +318,29 @@ func BenchmarkSolveOpt2(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveOpt0 measures the non-convex worst-case solve at t=4.
+// BenchmarkSolveOpt0 measures the non-convex worst-case solve at t=4 and
+// at Fig. 4(b)'s t=20 levels, Exponential(2, 20) over 128 items, where 6
+// of the 20 levels are empty.
 func BenchmarkSolveOpt0(b *testing.B) {
-	eps := []float64{1, 1.2, 2, 4}
-	counts := []int{5, 5, 5, 85}
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.SolveOpt0(eps, counts, notion.MinID{}, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
+	asgn, err := budget.Assign(128, budget.Exponential(2, 20), rng.New(6))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		eps    []float64
+		counts []int
+	}{
+		{"t=4", []float64{1, 1.2, 2, 4}, []int{5, 5, 5, 85}},
+		{"t=20", asgn.LevelEpsAll(), asgn.LevelCounts()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := opt.SolveOpt0(c.eps, c.counts, notion.MinID{}, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

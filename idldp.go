@@ -120,7 +120,8 @@ type Config struct {
 	// PaddingLength enables item-set reports via Padding-and-Sampling
 	// with the given ℓ. Zero means single-item reports only.
 	PaddingLength int
-	// Seed drives level assignment and the non-convex solver.
+	// Seed drives level assignment. The solve that follows is
+	// deterministic for every model and does not use it.
 	Seed uint64
 }
 

@@ -35,7 +35,8 @@ type Config struct {
 	// PaddingLength enables item-set input via Padding-and-Sampling with
 	// ℓ dummy items. Zero means single-item input only.
 	PaddingLength int
-	// Seed drives the non-convex solver's multi-start search (Opt0 only).
+	// Seed is passed to the solver, which ignores it: every model's solve,
+	// Opt0's included, is deterministic.
 	Seed uint64
 }
 

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // LinCon is the linear inequality constraint Coef·x <= RHS. The barrier
@@ -24,49 +25,74 @@ type Separable interface {
 	Dim() int
 }
 
-// BarrierOptions tunes the interior-point solve. The zero value is
-// replaced by sensible defaults.
-type BarrierOptions struct {
-	TStart    float64 // initial barrier weight (default 1)
-	Mu        float64 // barrier weight multiplier per outer step (default 20)
-	OuterTol  float64 // duality-gap style target m/t (default 1e-9)
-	NewtonTol float64 // Newton decrement threshold (default 1e-10)
-	MaxNewton int     // Newton iterations per outer step (default 100)
-	MaxOuter  int     // outer iterations (default 60)
+// Path-following constants, shared by every barrier program in the
+// package.
+const (
+	barrierMu = 20    // barrier weight multiplier per outer step
+	newtonTol = 1e-10 // Newton decrement threshold
+	maxNewton = 100   // Newton iterations per outer step
+	maxOuter  = 60    // outer iterations
+)
+
+// barrierFunc evaluates a log-barrier function φ(z) = τ·f(z) − Σ_k
+// log slack_k(z). It reports false when z is outside the strict interior
+// (or f's domain). When grad is non-nil it also accumulates ∇φ into grad
+// and ∇²φ into h, both zero on entry. It may first move a coordinate of z
+// to its optimum given the others.
+type barrierFunc func(z []float64, tau float64, grad []float64, h *Matrix) (float64, bool)
+
+// row is the linear constraint Σ_k coef[k]·z[idx[k]] ≤ rhs, over its
+// nonzero coefficients only.
+type row struct {
+	idx  []int
+	coef []float64
+	rhs  float64
 }
 
-func (o BarrierOptions) withDefaults() BarrierOptions {
-	if o.TStart <= 0 {
-		o.TStart = 1
+func (w row) dot(z []float64) float64 {
+	var s float64
+	for k, i := range w.idx {
+		s += w.coef[k] * z[i]
 	}
-	if o.Mu <= 1 {
-		o.Mu = 20
+	return s
+}
+
+// logSlacks returns Σ log slack over rows at z, or false if a slack is not
+// positive. With grad non-nil it adds the gradient and Hessian of
+// −Σ log slack into grad and h.
+func logSlacks(rows []row, z, grad []float64, h *Matrix) (float64, bool) {
+	var bar float64
+	for _, w := range rows {
+		s := w.rhs - w.dot(z)
+		if s <= 0 {
+			return 0, false
+		}
+		bar += math.Log(s)
+		if grad == nil {
+			continue
+		}
+		inv := 1 / s
+		for k, i := range w.idx {
+			grad[i] += w.coef[k] * inv
+			for l, j := range w.idx {
+				h.Add(i, j, w.coef[k]*w.coef[l]*inv*inv)
+			}
+		}
 	}
-	if o.OuterTol <= 0 {
-		o.OuterTol = 1e-9
-	}
-	if o.NewtonTol <= 0 {
-		o.NewtonTol = 1e-10
-	}
-	if o.MaxNewton <= 0 {
-		o.MaxNewton = 100
-	}
-	if o.MaxOuter <= 0 {
-		o.MaxOuter = 60
-	}
-	return o
+	return bar, true
 }
 
 // MinimizeBarrier minimizes the separable convex objective subject to
 // linear inequality constraints using a log-barrier interior-point method
 // with damped Newton steps. x0 must be strictly feasible. The returned
-// point is feasible and within the duality-gap tolerance of the optimum.
-func MinimizeBarrier(obj Separable, cons []LinCon, x0 []float64, opts BarrierOptions) ([]float64, error) {
-	o := opts.withDefaults()
+// point is feasible and within a 1e-9 duality gap of the optimum.
+func MinimizeBarrier(obj Separable, cons []LinCon, x0 []float64) ([]float64, error) {
 	n := obj.Dim()
 	if len(x0) != n {
 		return nil, fmt.Errorf("opt: x0 has %d entries, objective has dim %d", len(x0), n)
 	}
+	// The zero products a dense Coef·x adds change no bit of the slack.
+	rows := make([]row, len(cons))
 	for k, c := range cons {
 		if len(c.Coef) != n {
 			return nil, fmt.Errorf("opt: constraint %d has %d coefficients, want %d", k, len(c.Coef), n)
@@ -74,53 +100,65 @@ func MinimizeBarrier(obj Separable, cons []LinCon, x0 []float64, opts BarrierOpt
 		if c.Slack(x0) <= 0 {
 			return nil, fmt.Errorf("opt: x0 violates constraint %d (slack %g)", k, c.Slack(x0))
 		}
-	}
-	x := append([]float64(nil), x0...)
-	t := o.TStart
-	grad := make([]float64, n)
-	for outer := 0; outer < o.MaxOuter; outer++ {
-		if err := newtonCenter(obj, cons, x, t, o, grad); err != nil {
-			return nil, fmt.Errorf("opt: centering at t=%g: %w", t, err)
+		rows[k].rhs = c.RHS
+		for i, ci := range c.Coef {
+			if ci != 0 {
+				rows[k].idx, rows[k].coef = append(rows[k].idx, i), append(rows[k].coef, ci)
+			}
 		}
-		if float64(len(cons))/t < o.OuterTol {
-			return x, nil
-		}
-		t *= o.Mu
 	}
-	return x, nil
-}
-
-// newtonCenter runs damped Newton on φ(x) = t f(x) − Σ log(slack_k) in
-// place, stopping when the Newton decrement is small.
-func newtonCenter(obj Separable, cons []LinCon, x []float64, t float64, o BarrierOptions, grad []float64) error {
-	n := len(x)
-	for iter := 0; iter < o.MaxNewton; iter++ {
-		// Gradient and Hessian of φ.
-		h := NewMatrix(n, n)
+	phi := func(x []float64, t float64, grad []float64, h *Matrix) (float64, bool) {
 		var fval float64
 		for i := 0; i < n; i++ {
 			f, df, ddf := obj.Eval(i, x[i])
 			fval += f
-			grad[i] = t * df
-			h.Add(i, i, t*ddf)
+			if grad != nil {
+				grad[i] = t * df
+				h.Add(i, i, t*ddf)
+			}
 		}
-		for _, c := range cons {
-			s := c.Slack(x)
-			if s <= 0 {
-				return fmt.Errorf("iterate left feasible region")
-			}
-			inv := 1 / s
-			for i, ci := range c.Coef {
-				if ci == 0 {
-					continue
-				}
-				grad[i] += ci * inv
-				for j, cj := range c.Coef {
-					if cj != 0 {
-						h.Add(i, j, ci*cj*inv*inv)
-					}
-				}
-			}
+		bar, ok := logSlacks(rows, x, grad, h)
+		return fval*t - bar, ok
+	}
+	x := append([]float64(nil), x0...)
+	if err := pathFollow(phi, x, 1, len(cons), 1e-9, 0); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// pathFollow follows the central path of phi from the strictly interior
+// point z, in place: it centers at weight tau, then multiplies tau by
+// barrierMu until the gap bound ncons/tau falls below gapTol. A centering
+// also ends once the decrease a Newton step promises is below roundoff
+// relative to |φ|, which φ's own rounding would hide; 0 keeps the
+// absolute newtonTol test alone.
+func pathFollow(phi barrierFunc, z []float64, tau float64, ncons int, gapTol, roundoff float64) error {
+	for outer := 0; outer < maxOuter; outer++ {
+		if err := newtonCenter(phi, z, tau, roundoff); err != nil {
+			return fmt.Errorf("opt: centering at t=%g: %w", tau, err)
+		}
+		if float64(ncons)/tau < gapTol {
+			return nil
+		}
+		tau *= barrierMu
+	}
+	return nil
+}
+
+// newtonCenter runs damped Newton on φ in place, stopping when the Newton
+// decrement is small.
+func newtonCenter(phi barrierFunc, z []float64, tau, roundoff float64) error {
+	n := len(z)
+	grad := make([]float64, n)
+	for iter := 0; iter < maxNewton; iter++ {
+		for i := range grad {
+			grad[i] = 0
+		}
+		h := NewMatrix(n, n)
+		phi0, ok := phi(z, tau, grad, h)
+		if !ok {
+			return fmt.Errorf("iterate left feasible region")
 		}
 		step, err := SolveLinear(h, negate(grad))
 		if err != nil {
@@ -135,21 +173,22 @@ func newtonCenter(obj Separable, cons []LinCon, x []float64, t float64, o Barrie
 			}
 		}
 		decr := -Dot(grad, step) // λ² = -gᵀΔ for Newton step
-		if decr/2 < o.NewtonTol {
+		if decr/2 < newtonTol+roundoff*math.Abs(phi0) {
 			return nil
 		}
 		// Backtracking line search: stay strictly feasible, Armijo on φ.
 		alpha := 1.0
-		phi0 := fval*t - logBarrier(cons, x)
 		for alpha > 1e-14 {
-			cand := append([]float64(nil), x...)
+			cand := append([]float64(nil), z...)
 			AXPY(alpha, step, cand)
-			if feasible(cons, cand) {
-				phi := objValue(obj, cand)*t - logBarrier(cons, cand)
-				if phi <= phi0-0.25*alpha*decr {
-					copy(x, cand)
-					break
-				}
+			if slices.Equal(z, cand) {
+				// The step is below z's resolution, and so is every shorter
+				// one: no further progress at this scale.
+				return nil
+			}
+			if v, ok := phi(cand, tau, nil, nil); ok && v <= phi0-0.25*alpha*decr {
+				copy(z, cand)
+				break
 			}
 			alpha /= 2
 		}
@@ -166,30 +205,4 @@ func negate(v []float64) []float64 {
 		out[i] = -x
 	}
 	return out
-}
-
-func feasible(cons []LinCon, x []float64) bool {
-	for _, c := range cons {
-		if c.Slack(x) <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func logBarrier(cons []LinCon, x []float64) float64 {
-	var s float64
-	for _, c := range cons {
-		s += math.Log(c.Slack(x))
-	}
-	return s
-}
-
-func objValue(obj Separable, x []float64) float64 {
-	var s float64
-	for i, xi := range x {
-		f, _, _ := obj.Eval(i, xi)
-		s += f
-	}
-	return s
 }

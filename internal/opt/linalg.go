@@ -1,8 +1,10 @@
 // Package opt contains the numerical optimization substrate used to choose
 // the IDUE perturbation probabilities (§V-D): a small dense linear-algebra
-// kernel, a log-barrier interior-point method for the two convex programs
-// opt1 (Eq. 12) and opt2 (Eq. 13), and a penalized Nelder–Mead search for
-// the non-convex worst-case program opt0 (Eq. 10).
+// kernel and one log-barrier path follower with damped Newton steps. It
+// solves the two convex programs opt1 (Eq. 12) and opt2 (Eq. 13), and the
+// non-convex worst-case program opt0 (Eq. 10) in the log-ratio coordinates
+// where its privacy constraints are linear. A Nelder–Mead search serves
+// only the direct-matrix ablation (SolveDirect).
 package opt
 
 import (

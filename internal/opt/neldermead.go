@@ -6,7 +6,7 @@ import (
 )
 
 // NelderMeadOptions tunes the downhill-simplex search used by the
-// non-convex opt0 program.
+// direct-matrix ablation (SolveDirect).
 type NelderMeadOptions struct {
 	MaxIter   int     // total function-evaluation budget (default 4000·dim)
 	InitScale float64 // initial simplex edge length (default 0.1)

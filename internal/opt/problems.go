@@ -3,9 +3,9 @@ package opt
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"idldp/internal/notion"
-	"idldp/internal/rng"
 )
 
 // Model selects which of the paper's three optimization programs picks the
@@ -14,9 +14,10 @@ type Model int
 
 const (
 	// Opt0 is the worst-case program of Eq. (10): free (a_i, b_i),
-	// non-convex, solved by penalized multi-start Nelder–Mead. Its
-	// feasible region contains the opt1 and opt2 solutions, so the result
-	// is never worse than either.
+	// non-convex, solved deterministically by a log barrier in the
+	// coordinates where Eq. (7) is linear (see SolveOpt0). Its feasible
+	// region contains the opt1 and opt2 solutions, so the result is never
+	// worse than either.
 	Opt0 Model = iota
 	// Opt1 is the RAPPOR-structured convex program of Eq. (12): a+b = 1.
 	Opt1
@@ -159,7 +160,7 @@ func SolveOpt1(eps []float64, counts []int, n notion.Notion) (LevelParams, error
 		}
 		x0[i] = math.Max(0.45*m, 2.1e-6)
 	}
-	tau, err := MinimizeBarrier(opt1Objective{weights: weights}, cons, x0, BarrierOptions{})
+	tau, err := MinimizeBarrier(opt1Objective{weights: weights}, cons, x0)
 	if err != nil {
 		return LevelParams{}, fmt.Errorf("opt1: %w", err)
 	}
@@ -227,7 +228,7 @@ func SolveOpt2(eps []float64, counts []int, n notion.Notion) (LevelParams, error
 	for i := range x0 {
 		x0[i] = 1 / (math.Exp(0.95*minE) + 1)
 	}
-	b, err := MinimizeBarrier(opt2Objective{weights: weights}, cons, x0, BarrierOptions{})
+	b, err := MinimizeBarrier(opt2Objective{weights: weights}, cons, x0)
 	if err != nil {
 		return LevelParams{}, fmt.Errorf("opt2: %w", err)
 	}
@@ -256,144 +257,258 @@ func maxViolation(a, b []float64, r [][]float64) float64 {
 	return worst
 }
 
+// Where the opt0 solve stops. A returned point lies interiorMargin inside
+// every Eq. (7) row in log space; the barrier runs on rows tightened by
+// two margins, and the second absorbs the rounding of the (x, y) → (a, b)
+// map. A level holding no items is pinned at x = y = emptyXY, opt1's
+// lower bound.
+const (
+	interiorMargin = 1e-10
+	emptyXY        = 1e-6
+)
+
 // SolveOpt0 solves the Eq. (10) worst-case program with free (a_i, b_i).
-// The search runs penalized Nelder–Mead in an unconstrained logistic
-// parameterization (a = σ(u), b = a·σ(v)) from multiple seeds (the opt1
-// and opt2 solutions plus jitters), then keeps the best feasible
-// candidate. The result is guaranteed no worse than opt1 and opt2 on the
-// worst-case objective.
+// In x = ln(a/b), y = ln((1−b)/(1−a)), where x, y > 0 ⇔ 0 < b < a < 1,
+// each Eq. (7) row is linear, x_i + y_j ≤ r(ε_i, ε_j); a level's variance
+// term is m·e^y/((e^x−1)(e^y−1)), log-convex; and its max-term entry,
+// 1/(e^y−1) − 1/(e^x−1), is bounded by an epigraph variable s. That bound
+// is concave in x, the program's only non-convexity. A log barrier with
+// damped Newton steps runs from the opt1 and opt2 solutions and from the
+// point that drops the max term, and the best point interiorMargin inside
+// every row wins, opt1 and opt2 included, so the result is never worse
+// than either. The solve is deterministic: seed is ignored.
+//
+// A level with no items enters Eq. (10) only through its rows, which
+// loosen as it nears a = b, and its max-term entry, exactly 0 on x = y.
+// Pinned at x = y = emptyXY, its rows bound the other levels' x and y,
+// and its entry becomes s ≥ 0.
 func SolveOpt0(eps []float64, counts []int, n notion.Notion, seed uint64) (LevelParams, error) {
 	if err := validateProblem(eps, counts); err != nil {
 		return LevelParams{}, err
 	}
-	t := len(eps)
 	r := pairBudgets(eps, n)
-
-	p1, err1 := SolveOpt1(eps, counts, n)
-	p2, err2 := SolveOpt2(eps, counts, n)
-	if err1 != nil && err2 != nil {
-		return LevelParams{}, fmt.Errorf("opt0: both convex seeds failed: %v; %v", err1, err2)
-	}
-
-	// Track the best feasible candidate (with a strict tolerance).
-	const feasTol = 1e-9
+	p := newOpt0Program(r, counts)
+	nt := len(p.levels)
 	best := LevelParams{Objective: math.Inf(1), Model: Opt0}
 	consider := func(a, b []float64) {
-		if maxViolation(a, b, r) > feasTol {
-			return
-		}
-		obj := WorstCaseObjective(a, b, counts)
-		if obj < best.Objective {
-			best = LevelParams{
-				A:         append([]float64(nil), a...),
-				B:         append([]float64(nil), b...),
-				Objective: obj,
-				Model:     Opt0,
-			}
+		if obj := WorstCaseObjective(a, b, counts); obj < best.Objective && maxViolation(a, b, r) <= -interiorMargin {
+			best = LevelParams{A: a, B: b, Objective: obj, Model: Opt0}
 		}
 	}
-	var seeds [][]float64
-	if err1 == nil {
-		consider(p1.A, p1.B)
-		seeds = append(seeds, paramsToZ(p1.A, p1.B))
-	}
-	if err2 == nil {
-		consider(p2.A, p2.B)
-		seeds = append(seeds, paramsToZ(p2.A, p2.B))
-	}
-
-	penalized := func(lambda float64) func([]float64) float64 {
-		return func(z []float64) float64 {
-			a, b := zToParams(z, t)
-			obj := WorstCaseObjective(a, b, counts)
-			if math.IsInf(obj, 1) {
-				return 1e30
-			}
-			var pen float64
-			for i := range a {
-				for j := range a {
-					v := math.Log(a[i]*(1-b[j])) - math.Log(b[i]*(1-a[j])) - r[i][j]
-					if v > 0 {
-						pen += v * v
-					}
-				}
-			}
-			return obj + lambda*pen
+	var starts [][]float64
+	var errs []error
+	scale := 1.0
+	for _, convex := range []func([]float64, []int, notion.Notion) (LevelParams, error){SolveOpt1, SolveOpt2} {
+		c, err := convex(eps, counts, n)
+		if err != nil {
+			errs = append(errs, err)
+			continue
 		}
-	}
-
-	src := rng.New(seed)
-	jittered := make([][]float64, 0, len(seeds))
-	for _, s := range seeds {
-		z := append([]float64(nil), s...)
-		for i := range z {
-			z[i] += 0.3 * src.NormFloat64()
+		consider(c.A, c.B)
+		scale = math.Max(scale, c.Objective)
+		// Start from c's (x, y), shrunk toward 0, which loosens every
+		// row, until each row keeps a relative slack of 10⁻³.
+		xy, theta := make([]float64, 2*nt), 1.0
+		for i, l := range p.levels {
+			xy[i], xy[nt+i] = xyOf(c.A[l], c.B[l])
 		}
-		jittered = append(jittered, z)
-	}
-	seeds = append(seeds, jittered...)
-
-	// Search effort scales down for many levels: at large t the convex
-	// seeds are already near-optimal and high-dimensional Nelder–Mead
-	// buys little per evaluation.
-	iterPerDim := 1500
-	lambdas := []float64{1e4, 1e7}
-	if t > 8 {
-		iterPerDim = 300
-	}
-	for _, z0 := range seeds {
-		z := z0
-		for _, lambda := range lambdas {
-			z, _ = NelderMead(penalized(lambda), z, NelderMeadOptions{MaxIter: iterPerDim * len(z)})
+		for _, w := range p.rows {
+			theta = math.Min(theta, (1-1e-3)*w.rhs/w.dot(xy))
 		}
-		a, b := zToParams(z, t)
+		for i := range xy {
+			xy[i] *= theta
+		}
+		starts = append(starts, xy)
+	}
+	if len(starts) == 0 {
+		return LevelParams{}, fmt.Errorf("opt0: both convex starts failed: %v", errs)
+	}
+	if z, err := p.solve(starts[0], false, scale); err == nil {
+		starts = append(starts, z)
+	}
+	for _, xy := range starts {
+		z, err := p.solve(xy, true, scale)
+		if err != nil {
+			continue
+		}
+		a, b := make([]float64, len(counts)), make([]float64, len(counts))
+		for l := range a {
+			a[l], b[l] = abOf(emptyXY, emptyXY)
+		}
+		for i, l := range p.levels {
+			a[l], b[l] = abOf(z[i], z[nt+i])
+		}
 		consider(a, b)
-		// If mildly infeasible, pull toward the best-known feasible point.
-		if maxViolation(a, b, r) > feasTol && best.A != nil {
-			for theta := 0.999; theta > 0.5; theta *= 0.98 {
-				ab := blend(best.A, a, 1-theta, theta)
-				bb := blend(best.B, b, 1-theta, theta)
-				if maxViolation(ab, bb, r) <= feasTol {
-					consider(ab, bb)
-					break
-				}
-			}
-		}
 	}
 	if best.A == nil {
-		return LevelParams{}, fmt.Errorf("opt0: no feasible candidate found")
+		return LevelParams{}, fmt.Errorf("opt0: no point %g inside the privacy constraints", interiorMargin)
 	}
 	return best, nil
 }
 
-// paramsToZ maps (a, b) per level to the unconstrained search vector
-// z = (u_1..u_t, v_1..v_t) with a = σ(u), b = a·σ(v).
-func paramsToZ(a, b []float64) []float64 {
-	t := len(a)
-	z := make([]float64, 2*t)
-	for i := range a {
-		z[i] = logit(a[i])
-		z[t+i] = logit(b[i] / a[i])
-	}
-	return z
+// opt0Program is Eq. (10) over the T levels holding items, in
+// z = (x_1..x_T, y_1..y_T, s); without s it drops the max term.
+type opt0Program struct {
+	levels []int     // the level of each (x_i, y_i)
+	m      []float64 // its item count
+	rows   []row     // Eq. (7), tightened by two margins
+	sRows  []row     // rows, and s ≥ 0 when some level is empty
 }
 
-// zToParams inverts paramsToZ.
-func zToParams(z []float64, t int) (a, b []float64) {
-	a = make([]float64, t)
-	b = make([]float64, t)
-	for i := 0; i < t; i++ {
-		a[i] = sigmoid(z[i])
-		b[i] = a[i] * sigmoid(z[t+i])
+func newOpt0Program(r [][]float64, counts []int) *opt0Program {
+	p := &opt0Program{}
+	v := make([]int, len(counts)) // a level's index in z, or −1 when empty
+	for l, c := range counts {
+		v[l] = -1
+		if c > 0 {
+			v[l] = len(p.levels)
+			p.levels, p.m = append(p.levels, l), append(p.m, float64(c))
+		}
 	}
-	return a, b
+	nt := len(p.levels)
+	bound := map[int]int{} // a variable's bound row: only the tightest is kept
+	for k := range r {
+		for l, rkl := range r[k] { // x_k + y_l ≤ r_kl
+			w := row{rhs: rkl - 2*interiorMargin}
+			for side, vi := range [2]int{v[k], v[l]} {
+				if vi < 0 {
+					w.rhs -= emptyXY // an empty level's x and y
+				} else {
+					w.idx, w.coef = append(w.idx, vi+side*nt), append(w.coef, 1)
+				}
+			}
+			if len(w.idx) == 0 || math.IsInf(w.rhs, 1) {
+				continue
+			}
+			if len(w.idx) == 1 { // a bound from an empty level
+				if j, ok := bound[w.idx[0]]; ok {
+					p.rows[j].rhs = math.Min(p.rows[j].rhs, w.rhs)
+					continue
+				}
+				bound[w.idx[0]] = len(p.rows)
+			}
+			p.rows = append(p.rows, w)
+		}
+	}
+	p.sRows = p.rows
+	if nt < len(counts) { // an empty level's max-term entry is 0
+		p.sRows = append(p.rows[:len(p.rows):len(p.rows)], row{[]int{2 * nt}, []float64{-1}, 0})
+	}
+	return p
 }
 
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// solve follows the central path from the interior point xy, with the max
+// term or without it, from a gap of 10% of the convex objectives' scale
+// to 10⁻¹⁰ of it.
+func (p *opt0Program) solve(xy []float64, withMax bool, scale float64) ([]float64, error) {
+	z, ncons := append([]float64(nil), xy...), len(p.rows)
+	if withMax {
+		z, ncons = append(z, 0), len(p.sRows)+len(p.levels) // phi sets s
+	}
+	err := pathFollow(p.phi, z, float64(ncons)/(0.1*scale), ncons, 1e-10*scale, 1e-15)
+	return z, err
+}
 
-func logit(p float64) float64 { return math.Log(p / (1 - p)) }
+// phi is the program's barrierFunc. With p = 1/(e^x−1) and q = 1/(e^y−1),
+// a level's variance term is m·p(1+q) and its max-term entry q − p. It
+// first moves s to its optimum for z's (x, y): a step along the curved
+// valley s ≈ max term would otherwise have to stay within its narrow
+// width, and Newton would crawl.
+func (p *opt0Program) phi(z []float64, tau float64, grad []float64, h *Matrix) (float64, bool) {
+	nt := len(p.levels)
+	withMax, si, k, rows := len(z) > 2*nt, 2*nt, 2, p.rows
+	for i := 0; i < nt; i++ {
+		if !(z[i] > 0 && z[nt+i] > 0) {
+			return 0, false
+		}
+	}
+	var f float64
+	if withMax {
+		z[si] = p.center(z, tau)
+		f, k, rows = z[si], 3, p.sRows
+		if grad != nil {
+			grad[si] += tau
+		}
+	}
+	bar, ok := logSlacks(rows, z, grad, h)
+	for i, m := range p.m {
+		if !ok {
+			return 0, false
+		}
+		px, qy := 1/math.Expm1(z[i]), 1/math.Expm1(z[nt+i])
+		dx, dy := px*(1+px), qy*(1+qy) // −dp/dx, −dq/dy
+		f += m * px * (1 + qy)
+		inv := 0.0 // 1/(s − q + p), the max-term row's inverse slack
+		if withMax {
+			sl := z[si] - qy + px
+			ok = sl > 0
+			bar += math.Log(sl)
+			inv = 1 / sl
+		}
+		if grad == nil {
+			continue
+		}
+		// The level's gradient and Hessian over (x, y, s): its variance
+		// term, then −log(s − q + p), whose curvature in x is negative.
+		// Where that makes the (x, y) block indefinite, its xx entry is
+		// raised to the least that keeps it semidefinite, so the Newton
+		// step still descends.
+		w := tau * m
+		idx, d := [3]int{i, nt + i, si}, [3]float64{-dx, dy, 1} // ∇(s − q + p)
+		g := [3]float64{-w * dx * (1 + qy), -w * px * dy}
+		hl := [3][3]float64{{dx * (1 + 2*px) * (w*(1+qy) - inv), w * dx * dy}, {w * dx * dy, dy * (1 + 2*qy) * (w*px + inv)}}
+		hl[0][0] = math.Max(hl[0][0], hl[0][1]*hl[0][1]/hl[1][1])
+		for a := 0; a < k; a++ {
+			grad[idx[a]] += g[a] - inv*d[a]
+			for b := 0; b < k; b++ {
+				h.Add(idx[a], idx[b], hl[a][b]+inv*inv*d[a]*d[b])
+			}
+		}
+	}
+	return tau*f - bar, ok
+}
 
-// Solve dispatches to the selected model. seed only affects Opt0.
+// center returns the s that minimizes φ for z's (x, y): the root of
+// Σ 1/(s − g) = τ over the max-term entries g, and the 0 of an empty
+// level. Newton from the left converges monotonically: the sum is convex
+// and falls in s.
+func (p *opt0Program) center(z []float64, tau float64) float64 {
+	nt := len(p.levels)
+	g := make([]float64, 0, nt+1)
+	if len(p.sRows) > len(p.rows) {
+		g = append(g, 0)
+	}
+	for i := 0; i < nt; i++ {
+		g = append(g, 1/math.Expm1(z[nt+i])-1/math.Expm1(z[i]))
+	}
+	s := slices.Max(g) + 1/tau // the largest entry alone makes the sum τ here
+	for iter := 0; iter < 100; iter++ {
+		var sum, slope float64
+		for _, e := range g {
+			sum += 1 / (s - e)
+			slope += 1 / ((s - e) * (s - e))
+		}
+		step := (sum - tau) / slope
+		if s += step; !(step > 1e-15*math.Abs(s)) {
+			break
+		}
+	}
+	return s
+}
+
+// xyOf maps 0 < b < a < 1 to x = ln(a/b) > 0, y = ln((1−b)/(1−a)) > 0.
+func xyOf(a, b float64) (x, y float64) {
+	return math.Log(a / b), math.Log((1 - b) / (1 - a))
+}
+
+// abOf inverts xyOf: b = (e^y−1)/(e^{x+y}−1), a = e^x·b.
+func abOf(x, y float64) (a, b float64) {
+	b = math.Expm1(y) / math.Expm1(x+y)
+	return math.Exp(x) * b, b
+}
+
+// Solve dispatches to the selected model. seed is accepted for every
+// model and used by none: all three solves are deterministic.
 func Solve(m Model, eps []float64, counts []int, n notion.Notion, seed uint64) (LevelParams, error) {
 	switch m {
 	case Opt0:

@@ -58,7 +58,7 @@ func TestBarrierActiveConstraint(t *testing.T) {
 	// min (x-3)² s.t. x <= 1  →  x = 1.
 	obj := quadObjective{w: []float64{1}, c: []float64{3}}
 	cons := []LinCon{{Coef: []float64{1}, RHS: 1}}
-	x, err := MinimizeBarrier(obj, cons, []float64{0}, BarrierOptions{})
+	x, err := MinimizeBarrier(obj, cons, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestBarrierInactiveConstraint(t *testing.T) {
 	// min (x-0.5)² s.t. x <= 10  →  interior optimum x = 0.5.
 	obj := quadObjective{w: []float64{1}, c: []float64{0.5}}
 	cons := []LinCon{{Coef: []float64{1}, RHS: 10}}
-	x, err := MinimizeBarrier(obj, cons, []float64{0}, BarrierOptions{})
+	x, err := MinimizeBarrier(obj, cons, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestBarrierCoupledConstraint(t *testing.T) {
 	// min (x-2)² + (y-2)² s.t. x+y <= 2 → x = y = 1.
 	obj := quadObjective{w: []float64{1, 1}, c: []float64{2, 2}}
 	cons := []LinCon{{Coef: []float64{1, 1}, RHS: 2}}
-	x, err := MinimizeBarrier(obj, cons, []float64{0, 0}, BarrierOptions{})
+	x, err := MinimizeBarrier(obj, cons, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +96,18 @@ func TestBarrierCoupledConstraint(t *testing.T) {
 func TestBarrierRejectsInfeasibleStart(t *testing.T) {
 	obj := quadObjective{w: []float64{1}, c: []float64{0}}
 	cons := []LinCon{{Coef: []float64{1}, RHS: -1}}
-	if _, err := MinimizeBarrier(obj, cons, []float64{0}, BarrierOptions{}); err == nil {
+	if _, err := MinimizeBarrier(obj, cons, []float64{0}); err == nil {
 		t.Fatal("infeasible start accepted")
 	}
 }
 
 func TestBarrierShapeErrors(t *testing.T) {
 	obj := quadObjective{w: []float64{1}, c: []float64{0}}
-	if _, err := MinimizeBarrier(obj, nil, []float64{0, 0}, BarrierOptions{}); err == nil {
+	if _, err := MinimizeBarrier(obj, nil, []float64{0, 0}); err == nil {
 		t.Error("wrong x0 length accepted")
 	}
 	cons := []LinCon{{Coef: []float64{1, 1}, RHS: 1}}
-	if _, err := MinimizeBarrier(obj, cons, []float64{0}, BarrierOptions{}); err == nil {
+	if _, err := MinimizeBarrier(obj, cons, []float64{0}); err == nil {
 		t.Error("wrong constraint arity accepted")
 	}
 }
