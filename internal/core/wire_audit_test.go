@@ -317,7 +317,7 @@ func TestWireCountVariance(t *testing.T) {
 	}
 	sum, sq := make([]float64, m), make([]float64, m)
 	for c := 0; c < campaigns; c++ {
-		a, err := collect.RunSingleInto(items, m, e.PerturbItemInto, collect.Options{Workers: 1, Seed: uint64(20260928<<10 + c)})
+		a, err := collect.RunSingleInto(items, m, e.PerturbItemInto, collect.Options{Workers: 1, Seed: uint64(20260928)<<10 + uint64(c)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,9 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"idldp/internal/dist"
 	"idldp/internal/rng"
@@ -51,13 +53,13 @@ func (d *SingleItem) Validate() error {
 // SetValued is a dataset where each user holds a set of distinct items
 // from {0..M-1}. Empty sets are allowed (the PS protocol pads them).
 //
-// Layout: the sets the generators and TopM build are carved from one
-// backing array, each with its capacity capped at its length
-// (flat[lo:hi:hi]), so appending to one user's set reallocates it rather
-// than writing into the next user's. One array leaves no garbage
-// interleaved with the sets: 200k Retail baskets cut to their top 1,024
-// items peak at ~46 MB resident in batch_set, against ~90 with a slice
-// per set grown by append.
+// Layout: the sets the generators and TopM build are carved from shared
+// backing arrays (the generators' fixed chunks, TopM's one array), each
+// with its capacity capped at its length (flat[lo:hi:hi]), so appending to
+// one user's set reallocates it rather than writing into the next user's.
+// Shared arrays leave no garbage interleaved with the sets: 200k Retail
+// baskets cut to their top 1,024 items peak at ~46 MB resident in
+// batch_set, against ~90 with a slice per set grown by append.
 type SetValued struct {
 	Sets [][]int
 	M    int
@@ -152,20 +154,27 @@ func (d *SetValued) TopM(m int) (*SetValued, error) {
 	if m <= 0 || m > d.M {
 		return nil, fmt.Errorf("dataset: TopM(%d) out of range [1,%d]", m, d.M)
 	}
-	counts := d.TrueCounts()
+	counts := make([]int, d.M)
+	for _, s := range d.Sets {
+		for _, i := range s {
+			counts[i]++
+		}
+	}
 	idx := make([]int, d.M)
 	for i := range idx {
 		idx[i] = i
 	}
-	// Partial selection of the m most frequent (stable by index on ties).
-	sortByCountDesc(idx, counts)
+	// Count descending, then index ascending: a total order.
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(counts[b], counts[a]), cmp.Compare(a, b))
+	})
 	// remap[i] is the new label of item i plus one, 0 for a dropped item;
 	// the kept items' counts add up to the backing array's length.
 	remap := make([]int, d.M)
 	total := 0
 	for newID, oldID := range idx[:m] {
 		remap[oldID] = newID + 1
-		total += int(counts[oldID])
+		total += counts[oldID]
 	}
 	flat := make([]int, 0, total)
 	out := &SetValued{Sets: make([][]int, len(d.Sets)), M: m}
@@ -181,47 +190,6 @@ func (d *SetValued) TopM(m int) (*SetValued, error) {
 		}
 	}
 	return out, nil
-}
-
-func sortByCountDesc(idx []int, counts []float64) {
-	// Simple insertion-free approach: sort.Slice equivalent without
-	// importing sort in two places — keep it explicit and stable.
-	quicksortDesc(idx, counts, 0, len(idx)-1)
-}
-
-func quicksortDesc(idx []int, counts []float64, lo, hi int) {
-	for lo < hi {
-		p := partitionDesc(idx, counts, lo, hi)
-		if p-lo < hi-p {
-			quicksortDesc(idx, counts, lo, p-1)
-			lo = p + 1
-		} else {
-			quicksortDesc(idx, counts, p+1, hi)
-			hi = p - 1
-		}
-	}
-}
-
-func less(idx []int, counts []float64, a, b int) bool {
-	// Descending by count, ascending by index on ties.
-	if counts[idx[a]] != counts[idx[b]] {
-		return counts[idx[a]] > counts[idx[b]]
-	}
-	return idx[a] < idx[b]
-}
-
-func partitionDesc(idx []int, counts []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	idx[mid], idx[hi] = idx[hi], idx[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if less(idx, counts, i, hi) {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
-		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
 }
 
 // PowerLawSingle generates the paper's Power-law synthetic dataset: n
@@ -243,40 +211,57 @@ func UniformSingle(n, m int, seed uint64) *SingleItem {
 }
 
 // genSets draws n item-sets: user u's set size comes from sizeOf and its
-// members are distinct draws from the popularity sampler. The sets are
-// drawn one after another into one backing array and carved from it once
-// it has stopped growing; held[i] == u+1 marks item i as already in user
-// u's set.
+// members are distinct draws from the popularity sampler.
 func genSets(n, m int, pop *dist.Sampler, sizeOf func(*rng.Source) int, seed uint64) *SetValued {
 	r := rng.New(seed)
-	var flat []int
-	ends := make([]int, n)
-	held := make([]int, m)
-	for u := range ends {
+	c := &carver{sets: make([][]int, 0, n), held: make([]int, m)}
+	for range n {
 		size := min(sizeOf(r), m)
-		lo, stamp := len(flat), u+1
+		c.begin(size)
 		// Rejection sampling of distinct items; bail out to sequential
 		// fill if the popularity mass is too concentrated to make
 		// progress (only reachable for tiny domains).
-		for attempts := 0; len(flat)-lo < size && attempts < 50*size+100; attempts++ {
-			if i := pop.Draw(r); held[i] != stamp {
-				held[i] = stamp
-				flat = append(flat, i)
-			}
+		for attempts := 0; c.len() < size && attempts < 50*size+100; attempts++ {
+			c.add(pop.Draw(r))
 		}
-		for i := 0; len(flat)-lo < size && i < m; i++ {
-			if held[i] != stamp {
-				held[i] = stamp
-				flat = append(flat, i)
-			}
+		for i := 0; c.len() < size && i < m; i++ {
+			c.add(i)
 		}
-		ends[u] = len(flat)
+		c.end()
 	}
-	sets := make([][]int, n)
-	lo := 0
-	for u, hi := range ends {
-		sets[u] = flat[lo:hi:hi]
-		lo = hi
-	}
-	return &SetValued{Sets: sets, M: m}
+	return &SetValued{Sets: c.sets, M: m}
 }
+
+// chunkInts is the size of the chunks a carver carves sets from.
+const chunkInts = 64 << 10
+
+// carver builds sets one after another in fixed chunks of chunkInts ints.
+// A set starts a new chunk when the size it may reach does not fit, so no
+// set straddles two chunks, nothing is copied, and every set keeps zero
+// spare capacity. held[i] == len(sets)+1 marks item i as in the open set.
+type carver struct {
+	sets  [][]int
+	chunk []int
+	lo    int
+	held  []int
+}
+
+// begin starts the next set, which will hold at most size items.
+func (c *carver) begin(size int) {
+	if cap(c.chunk)-len(c.chunk) < size {
+		c.chunk = make([]int, 0, max(chunkInts, size))
+	}
+	c.lo = len(c.chunk)
+}
+
+// add puts item i in the set unless it is there already.
+func (c *carver) add(i int) {
+	if stamp := len(c.sets) + 1; c.held[i] != stamp {
+		c.held[i] = stamp
+		c.chunk = append(c.chunk, i)
+	}
+}
+
+func (c *carver) len() int { return len(c.chunk) - c.lo }
+
+func (c *carver) end() { c.sets = append(c.sets, c.chunk[c.lo:len(c.chunk):len(c.chunk)]) }

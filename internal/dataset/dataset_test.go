@@ -273,6 +273,42 @@ func TestSetsDoNotShareCapacity(t *testing.T) {
 	}
 }
 
+// hashItems is FNV-1a over the domain, the user count, and every item in
+// order.
+func hashItems(d *SingleItem) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range append([]int{d.M, len(d.Items)}, d.Items...) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestSingleItemsMatchParent pins the single-item datasets, each against
+// the hash of its output computed before Float64, IntN and the alias draw
+// were written out on the owned generator step and before the set
+// generators carved chunks: batch_item's input at its seed and the
+// held-out one, the Uniform set, and the first-item projections of
+// Kosarak and MSNBC (which dropped its per-user map for held stamps).
+func TestSingleItemsMatchParent(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		d    *SingleItem
+		hash uint64
+	}{
+		{"PowerLawSingle seed 1", PowerLawSingle(1_000_000, 1024, 2, 1), 0x7d737378e9645bd0},
+		{"PowerLawSingle seed 20260928", PowerLawSingle(1_000_000, 1024, 2, 20260928), 0x2d2b18a604b94d68},
+		{"UniformSingle", UniformSingle(100_000, 1000, 1), 0xfc58ca415d2a123d},
+		{"Kosarak first items", Kosarak(DefaultKosarak()).FirstItems(), 0x2639c606d52c6fc0},
+		{"MSNBC first items", MSNBC(DefaultMSNBC()).FirstItems(), 0xfaef1b05ee9dbe71},
+	} {
+		if got := hashItems(c.d); got != c.hash {
+			t.Errorf("%s: items hash to %#x, want %#x", c.name, got, c.hash)
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	if err := (&SingleItem{Items: []int{5}, M: 5}).Validate(); err == nil {
 		t.Error("out-of-range item accepted")
@@ -288,7 +324,7 @@ func TestValidateErrors(t *testing.T) {
 	}
 	// The same item in two users' sets is no duplicate, under the dense
 	// stamps (domain no larger than the items held) and the sparse ones.
-	for _, m := range []int{3, 1 << 40} {
+	for _, m := range []int{3, math.MaxInt} {
 		if err := (&SetValued{Sets: [][]int{{0, 2}, {2, 0}, {}, {1, 2}}, M: m}).Validate(); err != nil {
 			t.Errorf("M=%d: valid sets rejected: %v", m, err)
 		}

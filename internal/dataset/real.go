@@ -115,23 +115,18 @@ func (c MSNBCConfig) FullScale() MSNBCConfig {
 func MSNBC(c MSNBCConfig) *SetValued {
 	pop := dist.NewSampler(dist.Zipf(c.Categories, c.ZipfS, 1))
 	r := rng.New(c.Seed)
-	sets := make([][]int, c.Users)
-	for u := range sets {
+	out := &carver{sets: make([][]int, 0, c.Users), held: make([]int, c.Categories)}
+	for range c.Users {
 		mean := c.ShortMean
 		if r.Bernoulli(c.LongFrac) {
 			mean = c.LongMean
 		}
 		length := r.Geometric(1 / mean)
-		seen := make(map[int]bool, 8)
-		var set []int
-		for v := 0; v < length; v++ {
-			cat := pop.Draw(r)
-			if !seen[cat] {
-				seen[cat] = true
-				set = append(set, cat)
-			}
+		out.begin(min(length, c.Categories))
+		for range length {
+			out.add(pop.Draw(r))
 		}
-		sets[u] = set
+		out.end()
 	}
-	return &SetValued{Sets: sets, M: c.Categories}
+	return &SetValued{Sets: out.sets, M: c.Categories}
 }

@@ -1,36 +1,26 @@
 package rng
 
-// Alias is a Walker alias table for O(1) sampling from a fixed discrete
-// distribution. Building costs O(k); every draw costs one uniform and one
-// comparison. It is the workhorse behind the synthetic dataset generators,
-// which draw hundreds of thousands of items from skewed popularity
-// distributions.
-type Alias struct {
-	prob  []float64
-	alias []int
+import "math"
+
+// Alias is a Walker alias table (Vose, IEEE TSE 1991) for O(1) sampling
+// from a fixed discrete distribution, behind the synthetic datasets.
+// Building costs O(k); a draw is i = IntN(k), then Float64() < prob[i]. A
+// cell stores prob as ⌈prob·2⁵³⌉ beside its alias, so a draw loads one
+// cell and compares the word's low 53 bits x with it: x < ⌈prob·2⁵³⌉
+// exactly when x/2⁵³ < prob, as prob·2⁵³ is exact and x an integer.
+type Alias struct{ cells []aliasCell }
+
+type aliasCell struct {
+	thr   uint64
+	alias int
 }
 
 // NewAlias builds an alias table for the (unnormalized) weights. It panics
 // if weights is empty, contains a negative entry, or sums to zero.
 func NewAlias(weights []float64) *Alias {
-	k := len(weights)
-	if k == 0 {
-		panic("rng: NewAlias of empty weights")
-	}
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("rng: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: weights sum to zero")
-	}
-	a := &Alias{prob: make([]float64, k), alias: make([]int, k)}
-	scaled := make([]float64, k)
-	small := make([]int, 0, k)
-	large := make([]int, 0, k)
+	k, total := len(weights), weightTotal("NewAlias", weights)
+	a := &Alias{cells: make([]aliasCell, k)}
+	scaled, small, large := make([]float64, k), make([]int, 0, k), make([]int, 0, k)
 	for i, w := range weights {
 		scaled[i] = w * float64(k) / total
 		if scaled[i] < 1 {
@@ -44,8 +34,7 @@ func NewAlias(weights []float64) *Alias {
 		small = small[:len(small)-1]
 		g := large[len(large)-1]
 		large = large[:len(large)-1]
-		a.prob[l] = scaled[l]
-		a.alias[l] = g
+		a.cells[l] = aliasCell{uint64(math.Ceil(scaled[l] * (1 << 53))), g}
 		scaled[g] = scaled[g] + scaled[l] - 1
 		if scaled[g] < 1 {
 			small = append(small, g)
@@ -53,26 +42,25 @@ func NewAlias(weights []float64) *Alias {
 			large = append(large, g)
 		}
 	}
-	for _, g := range large {
-		a.prob[g] = 1
-		a.alias[g] = g
-	}
-	for _, l := range small {
-		// Only reached through floating point round-off; treat as full.
-		a.prob[l] = 1
-		a.alias[l] = l
+	// What is left is full (small cells only through round-off).
+	for _, i := range append(large, small...) {
+		a.cells[i] = aliasCell{1 << 53, i}
 	}
 	return a
 }
 
 // K returns the number of categories.
-func (a *Alias) K() int { return len(a.prob) }
+func (a *Alias) K() int { return len(a.cells) }
 
 // Draw returns a category index sampled from the table's distribution.
 func (a *Alias) Draw(s *Source) int {
-	i := s.IntN(len(a.prob))
-	if s.Float64() < a.prob[i] {
-		return i
+	// IntN(k)'s loop, written out so the draw makes no call.
+	var i uint64
+	for ok := false; !ok; {
+		i, ok = reduce(s.Uint64(), uint64(len(a.cells)))
 	}
-	return a.alias[i]
+	if c := a.cells[i]; s.Uint64()<<11>>11 >= c.thr {
+		i = uint64(c.alias)
+	}
+	return int(i)
 }

@@ -12,7 +12,8 @@
 // allocation-free in the collection hot loops.
 //
 // Two generators, one seed. A Source runs PCG-DXSM, the generator of
-// math/rand/v2: a seed yields exactly the draws rand.New(rand.NewPCG(..))
+// math/rand/v2, on a step it owns (Float64, IntN and the alias draw step
+// it directly): a seed yields exactly the draws rand.New(rand.NewPCG(..))
 // yields, which the tests pin for the raw step and every sampling method,
 // so datasets, budgets, solver starts, geometric skips and the keep draws
 // of internal/mech are the standard library's. The one loop that wants
@@ -93,14 +94,14 @@ func newXoshiro(a, b uint64) Xoshiro {
 	return Xoshiro{splitmix64(a), splitmix64(a + golden), splitmix64(b), splitmix64(b + golden)}
 }
 
-// Source is a seeded pseudo-random source. It owns its generator — g is
-// the whole state, and r is a rand.Rand drawing from the Source itself, so
-// Uint64, Xoshiro and every distribution math/rand/v2 supplies (Float64,
-// IntN, ExpFloat64, ...) consume one stream. That stream is
-// rand.New(rand.NewPCG(s1, s2))'s, draw for draw: the package's tests pin
-// the step against rand.PCG.Uint64 and every sampling method against a
-// standard-library twin. A Source is not safe for concurrent use; use Split
-// to hand each goroutine its own stream.
+// Source is a seeded pseudo-random source. It owns its generator: g is
+// the whole state, which Uint64, Float64, IntN and the draws built on them
+// step directly; r is a rand.Rand drawing from the Source itself, left
+// only to NormFloat64, ExpFloat64, Perm and Shuffle. All consume one
+// stream, rand.New(rand.NewPCG(s1, s2))'s, draw for draw: the package's
+// tests pin the step against rand.PCG.Uint64 and every sampling method
+// against a standard-library twin. A Source is not safe for concurrent
+// use; use Split to hand each goroutine its own stream.
 type Source struct {
 	r *rand.Rand
 	g pcg
@@ -173,14 +174,38 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+// Float64 returns a uniform value in [0, 1), as rand.Rand computes it.
+func (s *Source) Float64() float64 { return float64(s.Uint64()<<11>>11) / (1 << 53) }
 
 // NormFloat64 returns a standard normal variate.
 func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
 
-// IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Source) IntN(n int) int { return s.r.IntN(n) }
+// IntN returns a uniform value in [0, n), drawing words until reduce
+// keeps one, as rand.Rand.IntN does. It panics if n <= 0.
+func (s *Source) IntN(n int) int {
+	if n <= 0 {
+		panic("rng: IntN requires n > 0")
+	}
+	for {
+		if i, ok := reduce(s.Uint64(), uint64(n)); ok {
+			return int(i)
+		}
+	}
+}
+
+// reduce maps the word x to [0, n) as rand.Rand's uint64n does (32-bit
+// targets take uint32n, documented as the identical computation), and
+// reports whether x is kept: a mask for a power of two, else Lemire's
+// multiply-shift ("Fast Random Integer Generation in an Interval", ACM
+// TOMACS 2019), the high word of x·n, rejected when the low word falls
+// below 2⁶⁴ mod n.
+func reduce(x, n uint64) (uint64, bool) {
+	if n&(n-1) == 0 {
+		return x & (n - 1), true
+	}
+	hi, lo := bits.Mul64(x, n)
+	return hi, lo >= n || lo >= -n%n
+}
 
 // Uint64 returns a uniform 64-bit value: one step of the generator. It is
 // also the rand.Source method s.r draws through. A loop that wants many —
@@ -200,7 +225,7 @@ func (s *Source) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.r.Float64() < p
+	return s.Float64() < p
 }
 
 // Geometric returns a sample from the geometric distribution on {1, 2, ...}
@@ -212,7 +237,7 @@ func (s *Source) Geometric(p float64) int {
 	if p == 1 {
 		return 1
 	}
-	u := s.r.Float64()
+	u := s.Float64()
 	// Inverse CDF: ceil(ln(1-u) / ln(1-p)).
 	k := int(math.Ceil(math.Log1p(-u) / math.Log1p(-p)))
 	if k < 1 {
@@ -223,7 +248,7 @@ func (s *Source) Geometric(p float64) int {
 
 // maxSkip caps GeometricSkipLn draws so that position arithmetic in callers
 // cannot overflow: any skip this large runs past every real index anyway.
-const maxSkip = math.MaxInt64 / 4
+const maxSkip = math.MaxInt / 4
 
 // GeometricSkipLn returns the number of failures before the first
 // success in i.i.d. Bernoulli(p) trials — P(K=k) = (1-p)^k·p for k >= 0,
@@ -279,7 +304,7 @@ func (s *Source) SampleWithoutReplacement(n, k int) []int {
 		chosen := make(map[int]int, k)
 		out := make([]int, k)
 		for i := 0; i < k; i++ {
-			j := i + s.r.IntN(n-i)
+			j := i + s.IntN(n-i)
 			vj, ok := chosen[j]
 			if !ok {
 				vj = j
@@ -298,7 +323,7 @@ func (s *Source) SampleWithoutReplacement(n, k int) []int {
 		idx[i] = i
 	}
 	for i := 0; i < k; i++ {
-		j := i + s.r.IntN(n-i)
+		j := i + s.IntN(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	return idx[:k]
@@ -308,8 +333,22 @@ func (s *Source) SampleWithoutReplacement(n, k int) []int {
 // weights[i]. It panics if weights is empty or sums to a non-positive
 // value. For repeated draws from the same weights build an Alias sampler.
 func (s *Source) Choice(weights []float64) int {
+	u := s.Float64() * weightTotal("Choice", weights)
+	var acc float64
+	for i, w := range weights {
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// weightTotal returns the sum of weights for the sampler named what. It
+// panics if weights is empty, contains a negative entry, or sums to zero.
+func weightTotal(what string, weights []float64) float64 {
 	if len(weights) == 0 {
-		panic("rng: Choice of empty weights")
+		panic("rng: " + what + " of empty weights")
 	}
 	var total float64
 	for _, w := range weights {
@@ -321,13 +360,5 @@ func (s *Source) Choice(weights []float64) int {
 	if total <= 0 {
 		panic("rng: weights sum to zero")
 	}
-	u := s.r.Float64() * total
-	var acc float64
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
+	return total
 }

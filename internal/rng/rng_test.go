@@ -69,9 +69,13 @@ func TestUint64SharesTheRandStream(t *testing.T) {
 				if got, want := s.Float64(), twin.Float64(); got != want {
 					t.Fatalf("%s: Float64 %v, twin %v", where, got, want)
 				}
+				drawTwins(t, where, i/7, s, twin)
 			case 2:
 				if got, want := s.IntN(i+7), twin.IntN(i+7); got != want {
 					t.Fatalf("%s: IntN %d, twin %d", where, got, want)
+				}
+				if n := intNs[i/7%len(intNs)]; s.IntN(n) != twin.IntN(n) {
+					t.Fatalf("%s: IntN(%d) left the twin", where, n)
 				}
 			case 4:
 				if got, want := s.GeometricSkipLn(-0.3), int(twin.ExpFloat64()/0.3); got != want {
@@ -91,6 +95,55 @@ func TestUint64SharesTheRandStream(t *testing.T) {
 		}
 		s.Reseed(seed + uint64(round) + 1)
 		*twinPCG = *pcgTwin(seed + uint64(round) + 1)
+	}
+}
+
+// intNs are the bounds IntN is pinned at beside the loop's i+7: the
+// power-of-two masks and the multiply-shift at 2³⁰+1, which on 32-bit
+// targets are the standard library's uint32n (a second algorithm), and
+// where int is 64 bits the multiply-shift at 2⁴⁰+3 and at 3·2⁶¹, where
+// 2⁶⁴ mod n = 2⁶² and one word in four is redrawn.
+var intNs = func() []int {
+	ns := []int{1, 2, 1024, 4096, 1<<30 + 1}
+	for _, n := range []uint64{1<<40 + 3, 3 << 61} {
+		if n <= math.MaxInt {
+			ns = append(ns, int(n))
+		}
+	}
+	return ns
+}()
+
+// drawTwins pins Bernoulli, Geometric and Choice, cycling on k, against
+// the standard-library expressions they stand for, drawn from the twin.
+func drawTwins(t *testing.T, where string, k int, s *Source, twin *rand.Rand) {
+	t.Helper()
+	const p = 0.3
+	switch k % 3 {
+	case 0:
+		if got, want := s.Bernoulli(p), twin.Float64() < p; got != want {
+			t.Fatalf("%s: Bernoulli %v, twin %v", where, got, want)
+		}
+		// The clamped ends draw nothing: the twin takes no word for them.
+		if s.Bernoulli(0) || !s.Bernoulli(1) {
+			t.Fatalf("%s: Bernoulli(0) true or Bernoulli(1) false", where)
+		}
+	case 1:
+		want := max(1, int(math.Ceil(math.Log1p(-twin.Float64())/math.Log1p(-p))))
+		if got := s.Geometric(p); got != want {
+			t.Fatalf("%s: Geometric %d, twin %d", where, got, want)
+		}
+	case 2:
+		w := []float64{1, 0, 2.5, 0.5}
+		u, want := twin.Float64()*4, len(w)-1
+		for i, acc := 0, 0.0; i < len(w); i++ {
+			if acc += w[i]; u < acc {
+				want = i
+				break
+			}
+		}
+		if got := s.Choice(w); got != want {
+			t.Fatalf("%s: Choice %d, twin %d", where, got, want)
+		}
 	}
 }
 
