@@ -12,10 +12,13 @@ import (
 )
 
 // In a real deployment the solved perturbation probabilities must be
-// identical on every client and on the server — re-solving on each device
-// risks numerical drift (opt0 is randomized). SavedParams serializes the
-// complete mechanism definition; NewFromSaved rebuilds an engine from it
-// without re-solving, re-verifying the privacy constraints on load.
+// identical on every client and on the server. The solvers are
+// deterministic, but re-solving on each device risks numerical drift
+// across platforms: math.Exp and math.Log run in assembly on some and in
+// pure Go on others, and a compiler may fuse a multiply and an add into
+// one rounding. SavedParams serializes the complete mechanism definition;
+// NewFromSaved rebuilds an engine from it without re-solving,
+// re-verifying the privacy constraints on load.
 
 // SavedParams is the serializable mechanism definition.
 type SavedParams struct {

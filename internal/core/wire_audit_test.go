@@ -69,7 +69,7 @@ func benchAssignment(t *testing.T) *budget.Assignment {
 // by both samplers.
 func splitMech(t *testing.T) *mech.UE {
 	t.Helper()
-	rates := []float64{0.35, 0.02, 0.12, 0.005}
+	rates := []float64{0.35, 0.01, 0.12, 0.005}
 	a, b := make([]float64, 1032), make([]float64, 1032)
 	for k := range b {
 		b[k] = rates[(k+k/7)%len(rates)]
@@ -347,9 +347,11 @@ func TestWireCountVariance(t *testing.T) {
 // and every output y the empirical likelihood ratio must not exceed
 // e^{min(ε_x, ε_x′)} by more than five standard errors of its logarithm —
 // one-sided confidence 1 − 2.9e-7 per comparison, 1,920 comparisons per
-// mechanism. Two mechanisms: the Opt0-solved engine (all six lanes in the
-// bit planes) and a hand-set one whose levels straddle skipBelow, so
-// planes and skip share the one output word.
+// mechanism. Two mechanisms: the Opt0-solved engine and a hand-set one
+// with a low third level (b = 0.03). Both draw all six lanes from the bit
+// planes: a level under skipBelow (0.017) is too rare for its two bits to
+// be set together 100 times in n reports, so a word that planes and skip
+// share is audited on splitMech by (i) and (ii).
 func TestWireSmallDomainLikelihoodRatios(t *testing.T) {
 	levelOf := []int{0, 1, 2, 0, 1, 2}
 	solvedAsgn, err := budget.FromLevels(levelOf, []float64{1, 2, 4})
@@ -361,7 +363,7 @@ func TestWireSmallDomainLikelihoodRatios(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-set levels: dense, dense, sparse. Each level's budget is the
+	// Hand-set levels: two dense, one low. Each level's budget is the
 	// largest worst-case ratio it takes part in, which makes the mechanism
 	// MinID-LDP for exactly those budgets (checked by notion.VerifyUE).
 	la, lb := []float64{0.5, 0.55, 0.1}, []float64{0.3, 0.12, 0.03}

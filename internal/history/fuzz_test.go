@@ -90,15 +90,37 @@ func seedSegments() []fuzzSeed {
 func reseal(data []byte) []byte {
 	out := slices.Clone(data)
 	for off := 0; len(out)-off >= recHeaderSize+recTrailerSize; {
-		plen := int(binary.LittleEndian.Uint32(out[off+40:]))
-		end := off + recHeaderSize + plen
-		if plen > maxPayload || end+recTrailerSize > len(out) {
+		plen := binary.LittleEndian.Uint32(out[off+40:])
+		if plen > maxPayload {
+			break
+		}
+		end := off + recHeaderSize + int(plen)
+		if end+recTrailerSize > len(out) {
 			break
 		}
 		binary.LittleEndian.PutUint32(out[end:], crc32.Checksum(out[off:end], castagnoli))
 		off = end + recTrailerSize
 	}
 	return out
+}
+
+// TestHugeDeclaredLengthIsAnError pins what crashed 32-bit builds: a
+// declared payload length of 2³¹ or more, which an int of 32 bits reads
+// as negative, is over the cap on every platform. The record decodes to an
+// error, and a segment that holds one loads as its valid prefix, torn.
+func TestHugeDeclaredLengthIsAnError(t *testing.T) {
+	base := encodeRecord(kindBase, 4, 1_700_000_004e9, 9, 0, varpack.Pack([]int64{3, 0, 1, 0, 0, 5, 0, 0}))
+	for _, plen := range []uint32{1 << 31, 0xfffffffc, ^uint32(0)} {
+		rec := encodeRecord(kindDelta, 5, 1_700_000_005e9, 12, 3, make([]byte, 16))
+		binary.LittleEndian.PutUint32(rec[40:], plen)
+		if _, _, err := decodeRecord(rec); err == nil {
+			t.Errorf("length %#x: decoded without error", plen)
+		}
+		sg, torn := parseSegment(slices.Concat(base, rec), "huge", 1, testBits)
+		if sg == nil || !torn || sg.bytes != int64(len(base)) {
+			t.Errorf("length %#x: segment loaded %v, torn=%v; want the base record alone, torn", plen, sg, torn)
+		}
+	}
 }
 
 // FuzzDecodeRecord: arbitrary bytes never panic the record decoder, the

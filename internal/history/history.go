@@ -1065,11 +1065,13 @@ func decodeRecord(data []byte) (record, int, error) {
 	if v := binary.LittleEndian.Uint16(data[4:]); v != recVersion {
 		return record{}, 0, fmt.Errorf("unsupported version %d", v)
 	}
-	plen := int(binary.LittleEndian.Uint32(data[40:]))
+	// Checked before the conversion: a 32-bit int reads a length of 2³¹
+	// or more as negative, under any cap.
+	plen := binary.LittleEndian.Uint32(data[40:])
 	if plen > maxPayload {
 		return record{}, 0, fmt.Errorf("payload length %d exceeds cap", plen)
 	}
-	total := recHeaderSize + plen + recTrailerSize
+	total := recHeaderSize + int(plen) + recTrailerSize
 	if len(data) < total {
 		return record{}, 0, fmt.Errorf("record truncated: %d of %d bytes", len(data), total)
 	}

@@ -45,15 +45,17 @@ func replan(u *UE, skipBelow float64) *UE {
 // constructor chose and under the all-planes and all-skip plans, at the
 // §VII IDUE setting and along the OUE ε axis where the flip rate falls
 // from 0.27 to 0.0003, and asserts what skipBelow stands for. The want
-// column is the cost model's winner at m = 1024 — planes ~340 ns per
-// report at any b, skip 623 / 510 / 426 / 350 / 287 ns at
-// b = 0.076 / 0.06 / 0.047 / 0.037 / 0.029, equal at b = 0.037 — so
-// ε = 2.5 (b = 0.076) and ε = 3 (b = 0.047: 340 against 426, 1.25×) are
-// the planes', and ε = 5 (b = 0.0067) is skip's by far; the constructor
-// must agree. Timed, the chosen plan is never more than 20% slower than
-// the other one, and at §VII it is at least 5.1× the skip-only sampler it
-// replaced (measured 6.6×: 345 ns against 2,280; the floor keeps PR 24's
-// margin, 3.4× on a measured 4.4×).
+// column is the cost model's winner at m = 1024 — planes ~190 ns per
+// report at any b on the AVX2 kernel, skip 418 / 333 / 274 / 222 / 179 ns
+// at b = 0.047 / 0.037 / 0.029 / 0.022 / 0.017, equal at b = 0.017 — so
+// ε = 2.5 (b = 0.076), ε = 3 (b = 0.047) and, on the kernel, ε = 3.5
+// (b = 0.029: 194 against 308 ns, 1.6×) are the planes', and ε = 5
+// (b = 0.0067) is skip's by far; the constructor must agree. Timed, the
+// chosen plan is never more than 20% slower than the other one (on the Go
+// twin, ~370 ns, ε = 3 still holds at 1.13×), and at §VII it is at least
+// 5.1× the skip-only sampler (measured 13.8× on the kernel, 200 ns against
+// 2,750, and 7.4× on the twin; the floor is three quarters of the 6.6× one
+// stream per report measured).
 func BenchmarkPerturbItem(b *testing.B) {
 	const planes, skip = 0, 1
 	names := [2]string{planes: "planes", skip: "skip"}
@@ -64,10 +66,16 @@ func BenchmarkPerturbItem(b *testing.B) {
 		gain float64 // how many times faster than the other plan it must be
 	}
 	points := []point{{"idue-VII", sectionVII(b), planes, 5.1}}
-	for _, oue := range []struct {
+	type oue struct {
 		eps  float64
 		want int
-	}{{1, planes}, {2.5, planes}, {3, planes}, {5, skip}, {8, skip}} {
+	}
+	oues := []oue{{1, planes}, {2.5, planes}, {3, planes}, {5, skip}, {8, skip}}
+	if haveKernel {
+		// Just above the crossover, where only the kernel's planes win.
+		oues = append(oues, oue{3.5, planes})
+	}
+	for _, oue := range oues {
 		u, err := NewOUE(oue.eps, 1024)
 		if err != nil {
 			b.Fatal(err)
@@ -121,5 +129,25 @@ func BenchmarkPerturbItem(b *testing.B) {
 			b.Fatalf("%s: the chosen plan, %s, takes %v per %d reports and %s %v: %.2f× as fast, want ≥ %.2f×",
 				pt.name, names[chosen], best[chosen], batch, names[1-chosen], best[1-chosen], gain, pt.gain)
 		}
+	}
+}
+
+// BenchmarkFill times fill alone on a §VII report, through the plane
+// kernel and through its Go twin, the sampler of every CPU without AVX2.
+func BenchmarkFill(b *testing.B) {
+	u := sectionVII(b)
+	for _, path := range []struct {
+		name   string
+		kernel bool
+	}{{"kernel", true}, {"twin", false}} {
+		b.Run(path.name, func(b *testing.B) {
+			if path.kernel && !haveKernel {
+				b.Skip("no AVX2 on this CPU")
+			}
+			r, w := rng.New(2), make([]uint64, 16)
+			for b.Loop() {
+				u.fill(r, w, path.kernel)
+			}
+		})
 	}
 }

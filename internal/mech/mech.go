@@ -32,26 +32,40 @@
 // at m + ℓ = 1,032, none for a word with no live lane) with no test of
 // what is left undecided, and only from there on stops when no lane is,
 // a tail the 11.8% of words that still hold an undecided lane need for
-// another 0.24 draws on average. A full word costs 9.24 expected draws and
-// a report
+// another 0.24 draws on average. (A prefix shorter than ⌈log₂ lanes⌉ + 2
+// leaves most words to the data-dependent exit, which mispredicts as with
+// no prefix; on one stream per report, ⌈log₂ lanes⌉ + 2 / 3 / 4 / 5 took
+// 331 / 306 / 308 / 330 ns per §VII report.)
 //
-//	O(m/64 · 9.24 + |x|)
+// Four words a step. The words are drawn in groups of four, word 4g+i from
+// the i-th of four xoshiro256++ streams (an rng.Xoshiro4) that fill seeds
+// once per report from the Source's next two words, when the plan has
+// planes at all: shifts, rotates, xors and adds a draw, no multiply, so
+// four streams fit one 256-bit register each state word. The streams of a
+// group step in lockstep: the group runs the largest prefix of its four
+// words, then one plane more while a lane of any of them is undecided, a
+// tail 39% of full groups need for another 0.86 draws on average. A
+// stream whose word is decided before the group's is takes those draws
+// too, after its bits are fixed, so each word's bits are what the rule
+// above gives on its own stream and a full word costs 9.86 expected draws
+// (9.24 drawn alone), a report
 //
-// draws whatever b is and however the levels interleave (thresholds are per
-// lane). A prefix shorter than ⌈log₂ lanes⌉ + 2 leaves most words to the
-// data-dependent exit, which mispredicts as with no prefix; per §VII report,
-// ⌈log₂ lanes⌉ + 2 / 3 / 4 / 5 → 331 / 306 / 308 / 330 ns. The draws come
-// from an rng.Xoshiro, a xoshiro256++ generator that fill derives once per
-// report from the Source's next two words (when the plan has planes at
-// all) and holds in registers across the words: no multiply a draw, where
-// the PCG-DXSM step of the Source costs five, so a full word takes ~21 ns
-// and a §VII report ~340 ns, the derivation included (on PCG-DXSM steps
-// ~34 ns and ~550 ns). The Source moves on exactly two words per report for
-// its planes, so the skip runs and the keep draws after them stay on the
-// Source's own stream. The probability realized is exactly T/2⁶⁴ (the tail
-// runs to plane 64 if it must): finer than the reference's Float64() < p
-// grid of 2⁻⁵³, and equal to B[k] for every float64 B[k] ≥ 2⁻¹¹ (smaller
-// values truncate, never round up).
+//	O(m/256 · 9.86 + |x|)
+//
+// four-wide draws whatever b is and however the levels interleave
+// (thresholds are per lane). On amd64 with AVX2 an assembly kernel
+// (planes_amd64.s) draws them, the streams in four YMM registers; a
+// CPUID/XGETBV check picks it once at start-up. Everywhere else fill runs
+// planesTwin, its pure-Go twin: the same words, the Source and streams left
+// in the same place, and the reference the kernel is tested against. On
+// the 2.1 GHz Xeon the repository's benchmark runs on, fill takes ~190 ns a
+// §VII report on the kernel and ~370 ns on the twin, the seeding (~45 ns)
+// included, where one stream for all 16 words takes ~360. The Source moves
+// on exactly two words per report for its planes, so the skip runs and the
+// keep draws after them stay on the Source's own stream. The probability
+// realized is exactly T/2⁶⁴ (the tail runs to plane 64 if it must): finer
+// than the reference's Float64() < p grid of 2⁻⁵³, and equal to B[k] for
+// every float64 B[k] ≥ 2⁻¹¹ (smaller values truncate, never round up).
 //
 // Geometric skip (sparse bits). Bits sharing a flip probability b form a
 // run, and the gap between consecutive flips of a run is Geometric(b): one
@@ -62,15 +76,19 @@
 // for t runs at mean flip rate b̄.
 //
 // The plan assigns a run to skip when b < skipBelow and to planes
-// otherwise. skipBelow = 0.037 is where the two cost the same at m = 1024 on
+// otherwise. skipBelow = 0.017 is where the two cost the same at m = 1024 on
 // the 2.1 GHz Xeon the repository's benchmark runs on (best of 60 batches
-// of 4,096 reports): planes 325–355 ns per report at any b; skip
-// 620 / 500 / 410 / 345 / 265 ns at b = 0.076 / 0.06 / 0.047 / 0.037 /
-// 0.029 — they cross at b = 0.037 (OUE ε ≈ 3.25).
-// BenchmarkPerturbItem in this package measures both plans at the §VII
-// IDUE setting and at OUE ε ∈ {1, 2.5, 3, 5, 8} and fails if the chosen one
-// loses by more than 20%. The two samplers write disjoint bits, so runs of
-// both kinds may share a word. The *Into variants write into a
+// of 4,096 reports, on the kernel): planes 175–200 ns per report at any b;
+// skip 418 / 333 / 274 / 222 / 189 / 179 / 170 / 165 ns at b = 0.047 /
+// 0.037 / 0.029 / 0.022 / 0.018 / 0.017 / 0.016 / 0.014 — they cross at
+// b = 0.017 (OUE ε ≈ 4.06). The twin's planes, ~370 ns, would cross skip
+// near b = 0.04, but the plan, and with it the bits a seed yields, is the
+// same on every platform: one without the kernel pays up to 2× (at
+// b = 0.017) for the runs in between. BenchmarkPerturbItem in this package
+// measures both plans at the §VII IDUE setting and at OUE
+// ε ∈ {1, 2.5, 3, 3.5, 5, 8} (3.5 only on the kernel) and fails if the
+// chosen one loses by more than 20%. The two samplers write disjoint bits,
+// so runs of both kinds may share a word. The *Into variants write into a
 // caller-provided buffer, so steady-state report generation does not
 // allocate at all.
 //
@@ -106,15 +124,20 @@ type UE struct {
 	// reference path. Read-only after construction, so a UE is safe to
 	// share across perturbation goroutines.
 	//
-	// live[w] masks the lanes of output word w drawn by the plane sampler,
-	// depth[w] is the length of its fixed prefix (prefixDepth of its
-	// live-lane count) and planes[w][j] holds bit 63-j of the lanes'
-	// thresholds (zero on every other lane; nil when no lane is).
-	// Word-major, so the ~9 planes a word usually needs span two cache
-	// lines. skips are the runs drawn by geometric skip instead.
+	// The plane sampler draws output words in groups of four, word 4g+i
+	// from stream i. live[w] masks the lanes of output word w it draws,
+	// padded with empty words to whole groups. planes[g][4j+i] holds bit
+	// 63-j of the thresholds of word 4g+i's lanes (zero on every other
+	// lane; nil when no lane is live): group-major and plane-major within
+	// the group, a [64][4]uint64 indexed flat, so that plane j of the four
+	// words is one 256-bit load and a word's column is every fourth
+	// element. depth[g] is group g's fixed prefix, the largest prefixDepth
+	// of its words' live-lane counts. The ~10 planes a group usually needs
+	// span five cache lines. skips are the runs drawn by geometric skip
+	// instead.
 	live   []uint64
 	depth  []uint8
-	planes [][64]uint64
+	planes [][4 * 64]uint64
 	skips  []skipRun
 }
 
@@ -128,7 +151,7 @@ type skipRun struct {
 // skipBelow is the flip probability under which a run is sampled by
 // geometric skip rather than bit planes (see the package cost model for
 // where it was measured).
-const skipBelow = 0.037
+const skipBelow = 0.017
 
 // NewUE builds a UE mechanism from explicit per-bit probabilities. It
 // returns an error unless 0 < B[k] <= A[k] < 1 for every bit (the paper's
@@ -155,19 +178,19 @@ func NewUE(a, b []float64) (*UE, error) {
 // levels, so the map stays tiny even for random assignments over large
 // domains.
 func (u *UE) buildPlan(skipBelow float64) {
-	words := (len(u.B) + 63) / 64
-	u.live = make([]uint64, words)
+	groups := (len(u.B) + 255) / 256
+	u.live = make([]uint64, 4*groups)
 	index := make(map[float64]int, 8)
 	for k, b := range u.B {
 		if b >= skipBelow {
-			lane := uint(k & 63)
-			u.live[k>>6] |= 1 << lane
+			wi, lane := k>>6, uint(k&63)
+			u.live[wi] |= 1 << lane
 			if u.planes == nil {
-				u.planes = make([][64]uint64, words)
+				u.planes = make([][4 * 64]uint64, groups)
 			}
-			t, p := fixed64(b), &u.planes[k>>6]
-			for j := range p {
-				p[j] |= (t >> (63 - j) & 1) << lane
+			t, p := fixed64(b), &u.planes[wi>>2]
+			for j := range 64 {
+				p[4*j+wi&3] |= (t >> (63 - j) & 1) << lane
 			}
 			continue
 		}
@@ -179,9 +202,9 @@ func (u *UE) buildPlan(skipBelow float64) {
 		}
 		u.skips[ri].pos = append(u.skips[ri].pos, int32(k))
 	}
-	u.depth = make([]uint8, words)
+	u.depth = make([]uint8, groups)
 	for wi, live := range u.live {
-		u.depth[wi] = prefixDepth(bits.OnesCount64(live))
+		u.depth[wi>>2] = max(u.depth[wi>>2], prefixDepth(bits.OnesCount64(live)))
 	}
 }
 
@@ -204,20 +227,27 @@ func prefixDepth(lanes int) uint8 {
 func fixed64(p float64) uint64 { return uint64(p * 0x1p64) }
 
 // fill writes a perturbation of the all-zero input into w: bit k is 1 with
-// probability B[k], independently; padding bits stay clear.
-func (u *UE) fill(r *rng.Source, w []uint64) {
+// probability B[k], independently; padding bits stay clear. kernel picks
+// the plane kernel over its Go twin (callers pass haveKernel); the two
+// write the same words and leave r in the same place.
+func (u *UE) fill(r *rng.Source, w []uint64, kernel bool) {
 	if u.planes == nil {
 		// An all-skip plan: a report can cost ~45 ns in all, of which
 		// walking the words below to store zeros would be a quarter. It
-		// derives no plane stream, so its draws are the Source's alone.
+		// derives no plane streams, so its draws are the Source's alone.
 		clear(w)
 	} else {
-		// The planes draw from a generator of their own, seeded from r's
-		// next two words; the skip runs (and the caller's keep) draw
-		// through r.
-		g := r.Xoshiro()
-		for wi := range u.planes {
-			g, w[wi] = planeWord(g, &u.planes[wi], u.live[wi], int(u.depth[wi]))
+		// The planes draw from streams of their own, seeded from r's next
+		// two words; the skip runs (and the caller's keep) draw through r.
+		var st rng.Xoshiro4
+		st.Seed(r)
+		if kernel {
+			var last [4]uint64
+			n := len(u.planes)
+			planesAVX2(&st, &u.planes[0], &u.live[0], &u.depth[0], n, &w[0], &last)
+			copy(w[4*(n-1):], last[:])
+		} else {
+			u.planesTwin(&st, w)
 		}
 	}
 	// Within a skip run every bit shares b, so the gaps between flip
@@ -231,28 +261,73 @@ func (u *UE) fill(r *rng.Source, w []uint64) {
 	}
 }
 
-// planeWord draws one output word from the planes p of its live lanes:
-// bit k is [U < T] for lane k's threshold T and a fresh uniform U, zero on
-// a lane that is not live. It returns g advanced by the draws it took: d
-// whatever they decide, then one per further plane while a lane is still
-// undecided. A function of its own so that the generator, the two lane
-// masks and the plane cursor are all the loop keeps live: inlined into
-// fill's word loop they spill.
-func planeWord(g rng.Xoshiro, p *[64]uint64, live uint64, d int) (rng.Xoshiro, uint64) {
-	// und holds the lanes whose uniform U has matched the threshold on
-	// every plane so far; lt the lanes already decided U < T. A lane
-	// leaves und at the first plane where the two differ, and it is
-	// below the threshold iff that plane has U's bit 0 and T's bit 1.
-	und, lt, x := live, uint64(0), uint64(0)
-	for j, t := range p {
-		if j >= d && und == 0 {
-			break
+// planesTwin is the plane kernel's pure-Go twin: the sampler wherever the
+// kernel cannot run, and the reference it is tested against. It writes the
+// plane words of w from the four streams st, word 4g+i by planeWord on
+// stream i, and leaves each stream where the kernel does: the kernel steps
+// a group's streams in lockstep until its prefix is drawn and no lane of
+// its four words is undecided, as many draws as the group's longest word
+// takes. Here each word takes for its prefix the draws of the longest word
+// before it, which adds draws only after its lanes are decided and so
+// leaves its bits planeWord's on the group's prefix; the last word then
+// took the group's count, and the streams before it catch up to it.
+func (u *UE) planesTwin(st *rng.Xoshiro4, w []uint64) {
+	g0, g1, g2, g3 := st.Lane(0), st.Lane(1), st.Lane(2), st.Lane(3)
+	for gi := range u.planes {
+		p, live := &u.planes[gi], u.live[4*gi:4*gi+4]
+		var w0, w1, w2, w3 uint64
+		var n0, n1, n2, n3 int
+		g0, w0, n0 = planeWord(g0, p, 0, live[0], int(u.depth[gi]))
+		g1, w1, n1 = planeWord(g1, p, 1, live[1], n0)
+		g2, w2, n2 = planeWord(g2, p, 2, live[2], n1)
+		g3, w3, n3 = planeWord(g3, p, 3, live[3], n2)
+		for ; n0 < n3; n0++ {
+			g0, _ = g0.Next()
 		}
-		g, x = g.Next()
-		lt |= und &^ x & t
-		und &^= x ^ t
+		for ; n1 < n3; n1++ {
+			g1, _ = g1.Next()
+		}
+		for ; n2 < n3; n2++ {
+			g2, _ = g2.Next()
+		}
+		words := [4]uint64{w0, w1, w2, w3}
+		copy(w[4*gi:], words[:])
 	}
-	return g, lt
+}
+
+// planeWord draws output word i of a group from the group's planes p on
+// the stream g: bit k is [U < T] for lane k's threshold T and a fresh
+// uniform U, zero on a lane live does not hold. It draws d planes whatever
+// they decide, then one more while a lane is undecided, and returns g
+// advanced by those draws, the word, and their number. U is never
+// materialized: a draw x supplies the next bit of every lane's U, MSB
+// first, and a lane is decided at the first plane t where its U and T
+// differ, below T iff T has the 1 there: x ^ t, of the lanes still in und,
+// leave und, and those of them set in t join lt. The prefix runs two
+// planes a trip, and the function stands alone so that the generator, the
+// two lane masks and the plane cursor are all the loop keeps live:
+// inlined into the group loop they spill.
+func planeWord(g rng.Xoshiro, p *[4 * 64]uint64, i int, live uint64, d int) (rng.Xoshiro, uint64, int) {
+	und, lt, x, y := live, uint64(0), uint64(0), uint64(0)
+	i &= 3
+	k, end := uint(i), min(uint(4*d+i), uint(len(p)))
+	for ; k+4 < end; k += 8 {
+		g, x = g.Next()
+		x = (x ^ p[k]) & und
+		lt |= x & p[k]
+		und ^= x
+		g, y = g.Next()
+		y = (y ^ p[k+4]) & und
+		lt |= y & p[k+4]
+		und ^= y
+	}
+	for ; k < uint(len(p)) && (k < end || und != 0); k += 4 {
+		g, x = g.Next()
+		x = (x ^ p[k]) & und
+		lt |= x & p[k]
+		und ^= x
+	}
+	return g, lt, int(k / 4)
 }
 
 // keep overwrites bit k of w, a set input bit, with a Bernoulli(A[k]) draw.
@@ -354,7 +429,7 @@ func (u *UE) PerturbInto(x *bitvec.Vector, r *rng.Source, out *bitvec.Vector) {
 	}
 	u.checkOut(out)
 	w := out.MutableWords()
-	u.fill(r, w)
+	u.fill(r, w, haveKernel)
 	for wi, xw := range x.Words() {
 		for ; xw != 0; xw &= xw - 1 {
 			u.keep(wi*64+bits.TrailingZeros64(xw), r, w)
@@ -387,7 +462,7 @@ func (u *UE) PerturbItemInto(i int, r *rng.Source, out *bitvec.Vector) {
 	}
 	u.checkOut(out)
 	w := out.MutableWords()
-	u.fill(r, w)
+	u.fill(r, w, haveKernel)
 	u.keep(i, r, w)
 }
 

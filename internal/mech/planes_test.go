@@ -56,18 +56,20 @@ func TestFixed64(t *testing.T) {
 	}
 }
 
-// laneThreshold reads lane k's threshold back out of the transposed planes.
+// laneThreshold reads lane k's threshold back out of the transposed planes:
+// bit 63-j from plane j of its word's column in its group.
 func laneThreshold(u *UE, k int) uint64 {
 	var T uint64
-	for j, plane := range u.planes[k>>6] {
-		T |= (plane >> uint(k&63) & 1) << (63 - j)
+	for j := range 64 {
+		T |= (u.planes[k>>8][4*j+k>>6&3] >> uint(k&63) & 1) << (63 - j)
 	}
 	return T
 }
 
 // TestPlanesRoundTrip builds an all-planes plan over every probe rate and
 // reads each lane's threshold back out of the planes: B[k] exactly from
-// 2⁻¹¹ up, the floor below, and nothing in the padding lanes.
+// 2⁻¹¹ up, the floor below, and nothing in the padding lanes or in the
+// padding words that fill out the last group.
 func TestPlanesRoundTrip(t *testing.T) {
 	exact, truncated := flipRates()
 	B := append(append([]float64(nil), exact...), truncated...)
@@ -99,14 +101,22 @@ func TestPlanesRoundTrip(t *testing.T) {
 	if n%64 == 0 {
 		t.Fatal("probe set must leave padding lanes in the last word")
 	}
-	pad := ^uint64(0) << uint(n%64)
-	last := len(u.live) - 1
-	if u.live[last]&pad != 0 {
-		t.Errorf("padding lanes live: %#x", u.live[last]&pad)
+	if len(u.live) != 4*len(u.planes) || len(u.depth) != len(u.planes) {
+		t.Fatalf("%d live words, %d depths for %d groups", len(u.live), len(u.depth), len(u.planes))
 	}
-	for j, plane := range u.planes[last] {
-		if plane&pad != 0 {
-			t.Errorf("plane %d has padding bits %#x", j, plane&pad)
+	last := (n - 1) >> 6
+	for wi := last; wi < len(u.live); wi++ {
+		pad := ^uint64(0)
+		if wi == last {
+			pad <<= uint(n % 64)
+		}
+		if u.live[wi]&pad != 0 {
+			t.Errorf("word %d: padding lanes live: %#x", wi, u.live[wi]&pad)
+		}
+		for j := range 64 {
+			if plane := u.planes[wi>>2][4*j+wi&3]; plane&pad != 0 {
+				t.Errorf("word %d plane %d has padding bits %#x", wi, j, plane&pad)
+			}
 		}
 	}
 }
@@ -116,7 +126,7 @@ func TestPlanesRoundTrip(t *testing.T) {
 // plane lanes and lanes of two skip runs.
 func splitUE(t testing.TB, n int) *UE {
 	t.Helper()
-	rates := []float64{0.35, 0.02, 0.12, 0.005}
+	rates := []float64{0.35, 0.01, 0.12, 0.005}
 	A, B := make([]float64, n), make([]float64, n)
 	for k := range B {
 		B[k] = rates[(k+k/7)%len(rates)]
@@ -265,12 +275,13 @@ func TestPerturbIntoZeroAllocs(t *testing.T) {
 
 // replayWord is the scalar twin of planeWord: it takes the draws one at a
 // time from draw, rebuilds every live lane's uniform U plane by plane, MSB
-// first, and stops where the sampler must — after the word's prefix
+// first, and stops where the word alone must — after its prefix
 // (⌈log₂ lanes⌉ + 3 planes, worked out here by counting, not read from the
 // plan) once no live lane's U still equals its threshold on every plane
 // drawn. A lane's output bit is [U < T], which its first differing plane
-// decides; the draws it reports taking beyond the prefix are the tail's.
-func replayWord(u *UE, wi int, draw func() uint64) (word uint64, tail int) {
+// decides. It reports the draws it took, and how many of them were the
+// tail's, beyond the prefix.
+func replayWord(u *UE, wi int, draw func() uint64) (word uint64, drawn, tail int) {
 	var lanes []int
 	var T, U [64]uint64
 	for k := 0; k < 64; k++ {
@@ -284,7 +295,6 @@ func replayWord(u *UE, wi int, draw func() uint64) (word uint64, tail int) {
 		for prefix = 3; 1<<(prefix-3) < len(lanes); prefix++ {
 		}
 	}
-	drawn := 0
 	undecided := func() bool {
 		for _, k := range lanes {
 			// x >> 64 is 0 in Go: with no plane drawn every lane is open.
@@ -306,26 +316,34 @@ func replayWord(u *UE, wi int, draw func() uint64) (word uint64, tail int) {
 			word |= 1 << uint(k)
 		}
 	}
-	return word, drawn - prefix
+	return word, drawn, drawn - prefix
 }
 
-// refPlanes is the scalar twin of the plane stream fill derives: a
-// xoshiro256++ generator, array state, seeded by hand with the first two
-// SplitMix64 outputs from each of two words of the twin Source.
+// refPlanes is the scalar twin of one of the four plane streams fill
+// derives: a xoshiro256++ generator with array state.
 type refPlanes struct{ s [4]uint64 }
 
-func newRefPlanes(twin *rng.Source) *refPlanes {
-	var g refPlanes
-	for i := 0; i < 4; i += 2 {
+// newRefPlanes seeds the four streams by hand from the twin Source's next
+// two words: each starts a SplitMix64 generator, and stream i takes
+// outputs 2i+1 and 2i+2 of the first as its state words 0 and 1, the same
+// two of the second as words 2 and 3.
+func newRefPlanes(twin *rng.Source) [4]*refPlanes {
+	var g [4]*refPlanes
+	for i := range g {
+		g[i] = new(refPlanes)
+	}
+	for half := 0; half < 4; half += 2 {
 		x := twin.Uint64()
-		for j := i; j < i+2; j++ {
-			x += 0x9e3779b97f4a7c15
-			z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
-			z = (z ^ z>>27) * 0x94d049bb133111eb
-			g.s[j] = z ^ z>>31
+		for _, s := range g {
+			for j := half; j < half+2; j++ {
+				x += 0x9e3779b97f4a7c15
+				z := (x ^ x>>30) * 0xbf58476d1ce4e5b9
+				z = (z ^ z>>27) * 0x94d049bb133111eb
+				s.s[j] = z ^ z>>31
+			}
 		}
 	}
-	return &g
+	return g
 }
 
 func (g *refPlanes) draw() uint64 {
@@ -341,17 +359,54 @@ func (g *refPlanes) draw() uint64 {
 	return out
 }
 
+// replayFill is fill replayed by hand on a twin Source: when the plan
+// has planes, four streams seeded from the twin's next two words
+// (newRefPlanes), word 4g+i drawn by replayWord from stream i, and after
+// each group of four every stream drawn on to the count of the group's
+// longest word, since the group draws in lockstep; then the skip runs on
+// the twin itself. It returns how many words ran a tail.
+func replayFill(u *UE, twin *rng.Source, want []uint64) (tails int) {
+	clear(want)
+	if u.planes != nil {
+		g := newRefPlanes(twin)
+		for wi := 0; wi < len(u.live); wi += 4 {
+			var drawn [4]int
+			for i, s := range g {
+				word, n, tail := replayWord(u, wi+i, s.draw)
+				if wi+i < len(want) {
+					want[wi+i] = word
+				}
+				if drawn[i] = n; tail > 0 {
+					tails++
+				}
+			}
+			top := max(drawn[0], drawn[1], drawn[2], drawn[3])
+			for i, s := range g {
+				for ; drawn[i] < top; drawn[i]++ {
+					s.draw()
+				}
+			}
+		}
+	}
+	for _, run := range u.skips {
+		for i := twin.GeometricSkipLn(run.ln1mb); i < len(run.pos); i += 1 + twin.GeometricSkipLn(run.ln1mb) {
+			want[run.pos[i]>>6] |= 1 << uint(run.pos[i]&63)
+		}
+	}
+	return tails
+}
+
 // TestFillReplaysScalar is the sampler's fast-equals-naive check, bit for
-// bit: a twin Source replays fill — a plane stream seeded by hand from its
-// next two words (refPlanes) when the plan has planes, replayWord on it,
-// then the skip runs on the twin itself — and must produce the same words
-// from garbage-filled buffers (so a plane bit in a padding or skip-owned
-// lane, or a word left unwritten, shows) and leave the Source where the
-// twin stands: two words further per fill that uses planes, plus the skip
-// runs. The shapes are §VII IDUE, splitUE (planes and two skip runs in
-// every word), an all-planes 1,032-bit report whose last word has
-// IDUE-PS's 8 live lanes, words with 0, 1, 8 and 64 live lanes side by
-// side, and an all-skip plan, whose fill must not touch the plane stream.
+// bit, three ways: the AVX2 kernel (where the CPU has it), the Go twin and
+// an independent scalar replay (replayFill) must write the same words from
+// garbage-filled buffers (so a plane bit in a padding or skip-owned lane,
+// or a word left unwritten, shows) and leave their Sources in the same
+// place: two words further per fill that uses planes, plus the skip runs.
+// The shapes are §VII IDUE, splitUE (planes and two skip runs in every
+// word), an all-planes 1,032-bit report whose last word has IDUE-PS's 8
+// live lanes and sits alone in its group, words with 0, 1, 8 and 64 live
+// lanes side by side in one group, and an all-skip plan, whose fill must
+// not touch the plane streams.
 func TestFillReplaysScalar(t *testing.T) {
 	rates := []float64{0.26, 0.31, 0.43, 0.37}
 	setShape := make([]float64, 1032)
@@ -387,6 +442,9 @@ func TestFillReplaysScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !haveKernel {
+		t.Logf("no AVX2 on this CPU: the Go twin is checked against the replay alone")
+	}
 	tails := 0
 	for name, u := range map[string]*UE{
 		"§VII":           sectionVII(t),
@@ -395,38 +453,34 @@ func TestFillReplaysScalar(t *testing.T) {
 		"lanes-0/1/8/64": mixed,
 		"skip-oue5-200":  skipOnly,
 	} {
+		type path struct {
+			name   string
+			kernel bool
+			r      *rng.Source
+			w      []uint64
+		}
 		words := (u.Bits() + 63) / 64
-		w, want := make([]uint64, words), make([]uint64, words)
-		r, twin := rng.New(20260928), rng.New(20260928)
+		want, twin := make([]uint64, words), rng.New(20260928)
+		paths := []path{{"the Go twin", false, rng.New(20260928), make([]uint64, words)}}
+		if haveKernel {
+			paths = append(paths, path{"the kernel", true, rng.New(20260928), make([]uint64, words)})
+		}
 		for rep := 0; rep < 500; rep++ {
-			for wi := range w {
-				w[wi] = ^uint64(0)
-			}
-			u.fill(r, w)
-
-			clear(want)
-			if u.planes != nil {
-				g := newRefPlanes(twin)
-				for wi := range u.planes {
-					var tail int
-					want[wi], tail = replayWord(u, wi, g.draw)
-					if tail > 0 {
-						tails++
+			tails += replayFill(u, twin, want)
+			next := twin.Uint64()
+			for _, p := range paths {
+				for wi := range p.w {
+					p.w[wi] = ^uint64(0)
+				}
+				u.fill(p.r, p.w, p.kernel)
+				for wi := range p.w {
+					if p.w[wi] != want[wi] {
+						t.Fatalf("%s report %d word %d: %s wrote %#016x, the scalar replay %#016x", name, rep, wi, p.name, p.w[wi], want[wi])
 					}
 				}
-			}
-			for _, run := range u.skips {
-				for i := twin.GeometricSkipLn(run.ln1mb); i < len(run.pos); i += 1 + twin.GeometricSkipLn(run.ln1mb) {
-					want[run.pos[i]>>6] |= 1 << uint(run.pos[i]&63)
+				if got := p.r.Uint64(); got != next {
+					t.Fatalf("%s report %d: after %s the Source stands elsewhere than the replay's (next draw %#x, twin %#x)", name, rep, p.name, got, next)
 				}
-			}
-			for wi := range w {
-				if w[wi] != want[wi] {
-					t.Fatalf("%s report %d word %d: fill wrote %#016x, the scalar replay %#016x", name, rep, wi, w[wi], want[wi])
-				}
-			}
-			if got, want := r.Uint64(), twin.Uint64(); got != want {
-				t.Fatalf("%s report %d: the Source stands elsewhere than the replay (next draw %#x, twin %#x)", name, rep, got, want)
 			}
 		}
 	}

@@ -261,7 +261,7 @@ func TestSolversFeasibleProperty(t *testing.T) {
 			0.5 + float64(s2%350)/100,
 			0.5 + float64(s3%450)/100,
 		}
-		counts := []int{int(s1>>8) % 9, int(s2>>8) % 9, int(s3>>8) % 9}
+		counts := []int{int((s1 >> 8) % 9), int((s2 >> 8) % 9), int((s3 >> 8) % 9)}
 		p1, err := SolveOpt1(eps, counts, notion.MinID{})
 		if err != nil || notion.VerifyUE(p1.A, p1.B, eps, notion.MinID{}, 1e-6) != nil {
 			return false

@@ -17,16 +17,19 @@
 // yields, which the tests pin for the raw step and every sampling method,
 // so datasets, budgets, solver starts, geometric skips and the keep draws
 // of internal/mech are the standard library's. The one loop that wants
-// many raw words at once — the bit-plane sampler in internal/mech, ~150 a
-// report — instead runs a Xoshiro, a xoshiro256++ generator that
-// Source.Xoshiro seeds from the Source's next two words, one per report,
-// pinned against a transcription of its authors' C. PCG-DXSM costs five
-// multiplies a step; xoshiro256++ costs none, which took a §VII report
-// from ~550 to ~340 ns. (The standard library's other generator, ChaCha8,
-// is no way out: the 16 plane words of that report cost ~270 ns on
-// xoshiro256++ and ~810 on it.) It is the ++ scrambler and not
-// xoshiro256+, whose lowest bits are weak linear functions of the state:
-// the sampler uses every bit of every draw as a lane's next uniform bit.
+// many raw words at once — the bit-plane sampler in internal/mech, ~160 a
+// report — instead runs four xoshiro256++ streams per report, drawn in
+// lockstep: an Xoshiro4 that Seed fills from the Source's next two words,
+// every stream pinned against a transcription of its authors' C. PCG-DXSM
+// costs five multiplies a step; xoshiro256++ costs none, only shifts,
+// rotates, xors and adds, so four streams step together in 256-bit
+// registers, one a state word. One stream took a §VII report from ~550 to
+// ~340 ns; four in lockstep take it to ~190 ns on AVX2. (The standard
+// library's other generator, ChaCha8, is no way out: the 16 plane words
+// of that report cost ~270 ns on one xoshiro256++ stream and ~810 on it.)
+// It is the ++ scrambler and not xoshiro256+, whose lowest bits are weak
+// linear functions of the state: the sampler uses every bit of every draw
+// as a lane's next uniform bit.
 package rng
 
 import (
@@ -68,7 +71,7 @@ func (g pcg) next() (pcg, uint64) {
 // takes and returns the state by value, so a caller that loops
 // x, v = x.Next() keeps the four words in registers for the whole run of
 // draws. The zero value is the one state the generator never leaves;
-// Source.Xoshiro is the way to get a seeded one.
+// Xoshiro4.Seed and Lane are the way to get seeded ones.
 type Xoshiro struct{ s0, s1, s2, s3 uint64 }
 
 // Next advances the generator one step and returns its uniform 64-bit
@@ -128,14 +131,34 @@ func (s *Source) Reseed(seed uint64) {
 	s.g = pcg{hi: s.s1, lo: s.s2}
 }
 
-// Xoshiro returns a xoshiro256++ generator seeded from the Source's next
-// two words, which it consumes like two Uint64 calls. Deriving one per
-// report gives every report its own stream for the draws it takes in
-// bulk, while the Source moves on exactly two words.
-func (s *Source) Xoshiro() Xoshiro {
+// Xoshiro4 is the state of four xoshiro256++ streams drawn in lockstep.
+// State word k of stream i is at [k][i], so a row holds one state word of
+// all four streams: the layout a 256-bit vector unit steps them in, one
+// register a row. Lane hands a stream to scalar code.
+type Xoshiro4 [4][4]uint64
+
+// Seed seeds the four streams from the Source's next two words a and b,
+// which it consumes like two Uint64 calls. Seeding once per report gives
+// every report its own streams for the draws it takes in bulk, while the
+// Source moves on exactly two words. Stream i is newXoshiro(a + 2iφ,
+// b + 2iφ), φ SplitMix64's increment: its state is outputs 2i+1 and 2i+2
+// of a SplitMix64 generator started at a and the same two of one started
+// at b. No stream starts in the all-zero state, since its first two words
+// are distinct outputs of one SplitMix64 generator, and the sixteen
+// outputs, independent of one another, cost less than sixteen draws of
+// one seeded xoshiro256++, which each wait on the last.
+func (x *Xoshiro4) Seed(s *Source) {
 	a := s.Uint64()
-	return newXoshiro(a, s.Uint64())
+	b := s.Uint64()
+	for i := range x[0] {
+		o := uint64(2*i) * golden
+		g := newXoshiro(a+o, b+o)
+		x[0][i], x[1][i], x[2][i], x[3][i] = g.s0, g.s1, g.s2, g.s3
+	}
 }
+
+// Lane returns stream i (0 ≤ i < 4) as a Xoshiro.
+func (x *Xoshiro4) Lane(i int) Xoshiro { return Xoshiro{x[0][i], x[1][i], x[2][i], x[3][i]} }
 
 // Split derives an independent Source identified by label. Splitting the
 // same parent with the same label always yields the same child stream,
@@ -209,8 +232,8 @@ func reduce(x, n uint64) (uint64, bool) {
 
 // Uint64 returns a uniform 64-bit value: one step of the generator. It is
 // also the rand.Source method s.r draws through. A loop that wants many —
-// the bit-plane sampler in internal/mech draws ~150 per report — runs them
-// on a Xoshiro instead.
+// the bit-plane sampler in internal/mech draws ~160 per report — runs them
+// on the streams of an Xoshiro4 instead.
 func (s *Source) Uint64() (x uint64) {
 	s.g, x = s.g.next()
 	return x

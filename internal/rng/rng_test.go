@@ -22,19 +22,25 @@ func pcgTwin(seed uint64) *rand.PCG {
 	return rand.NewPCG(splitmix64(seed), splitmix64(splitmix64(seed)))
 }
 
-// twinXoshiro is Source.Xoshiro done by hand on a standard-library twin:
-// two twin words, each the start of a SplitMix64 generator that supplies
-// two state words (splitmixC's outputs, not the package's splitmix64).
-func twinXoshiro(twin *rand.Rand) *xoshiroC {
+// twinXoshiro4 is Xoshiro4.Seed done by hand on a standard-library twin:
+// two twin words, each the start of a SplitMix64 generator (splitmixC's
+// outputs, not the package's splitmix64) whose outputs, two by two, are
+// the first two and the last two state words of the four streams in turn.
+func twinXoshiro4(twin *rand.Rand) [4]*xoshiroC {
 	a, b := twin.Uint64(), twin.Uint64()
-	var x xoshiroC
-	x.s[0], x.s[1] = splitmixC(&a), splitmixC(&a)
-	x.s[2], x.s[3] = splitmixC(&b), splitmixC(&b)
-	return &x
+	var streams [4]*xoshiroC
+	for i := range streams {
+		streams[i] = new(xoshiroC)
+		streams[i].s[0], streams[i].s[1] = splitmixC(&a), splitmixC(&a)
+	}
+	for _, x := range streams {
+		x.s[2], x.s[3] = splitmixC(&b), splitmixC(&b)
+	}
+	return streams
 }
 
 // TestUint64SharesTheRandStream pins that the ways to draw — Uint64, the
-// derivation of a Xoshiro, and the methods that go through rand.Rand —
+// derivation of a Xoshiro4, and the methods that go through rand.Rand —
 // consume one stream, and that it is math/rand/v2's: interleaved in any
 // order they match a plain rand.New(rand.NewPCG(..)) twin, also after a
 // Reseed and on a child re-pointed by SplitNInto (which must leave the
@@ -42,15 +48,20 @@ func twinXoshiro(twin *rand.Rand) *xoshiroC {
 // yields the generator the twin's two words seed by hand.
 func TestUint64SharesTheRandStream(t *testing.T) {
 	const seed = 20200420
-	// derive takes a Xoshiro from s and draws k from it, against the
-	// reference generator seeded from the twin's next two words.
+	// derive seeds a Xoshiro4 from s and draws k from each of its streams,
+	// against the reference streams seeded from the twin's next two words.
 	derive := func(where string, s *Source, twin *rand.Rand, k int) {
 		t.Helper()
-		g, ref := s.Xoshiro(), twinXoshiro(twin)
-		for d := 0; d < k; d++ {
-			var got uint64
-			if g, got = g.Next(); got != ref.next() {
-				t.Fatalf("%s: draw %d of a %d-draw derivation left the reference stream", where, d, k)
+		var x Xoshiro4
+		x.Seed(s)
+		ref := twinXoshiro4(twin)
+		for i, r := range ref {
+			g := x.Lane(i)
+			for d := 0; d < k; d++ {
+				var got uint64
+				if g, got = g.Next(); got != r.next() {
+					t.Fatalf("%s: stream %d draw %d of a %d-draw derivation left the reference stream", where, i, d, k)
+				}
 			}
 		}
 	}
@@ -193,7 +204,7 @@ func splitmixC(x *uint64) uint64 {
 
 // TestXoshiroMatchesReference pins the by-value step and the seeding
 // against the C transcription: 10⁵ draws from each of ten seeds, the
-// generator seeded as Source.Xoshiro seeds it from two words.
+// generator seeded as Xoshiro4.Seed seeds its stream 0 from two words.
 func TestXoshiroMatchesReference(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		a, b := seed*0x9e3779b97f4a7c15, ^seed

@@ -136,7 +136,7 @@ func (h *SnapHist) dense() *[histBuckets]uint64 {
 	var counts [histBuckets]uint64
 	if h != nil {
 		for i, ix := range h.Idx {
-			if int(ix) < histBuckets {
+			if ix < histBuckets {
 				counts[ix] = h.Vals[i]
 			}
 		}
