@@ -171,8 +171,9 @@ func NewClient(cfg Config) (*Client, error) {
 
 // SaveParams serializes the client's solved mechanism definition as JSON.
 // Deployments distribute this file so every device and the server share
-// byte-identical parameters instead of re-solving (the opt0 program is
-// randomized).
+// byte-identical parameters without re-solving: the solvers are
+// deterministic, but their floating point can differ in the last bits
+// across builds and architectures (assembly math, fused multiply-adds).
 func (c *Client) SaveParams(w io.Writer) error {
 	return c.engine.Save().WriteJSON(w)
 }

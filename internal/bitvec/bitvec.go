@@ -12,11 +12,14 @@
 //   - Layout. For each 64-bit word column w of the report there are 16
 //     planes; plane p holds bit p of 64 independent counters, one per bit
 //     position of the column. Adding a report word to the column is then
-//     64 additions done with a few AND/XOR/OR word operations.
-//   - Blocks. Reports are staged 16 at a time, stored column-major so a
-//     column's 16 rows are contiguous. One tree of 15 carry-save adders
-//     per column adds the 16 rows into planes 0–3; its single carry-out
-//     (weight 16) ripples into planes 4 and up.
+//     64 additions done with a few AND/XOR/OR word operations. Plane p of
+//     four neighbouring columns is stored as four adjacent words.
+//   - Blocks. Reports are staged 16 at a time, row-major, each row padded
+//     to whole 4-word columns, so staging a report is one copy. One tree
+//     of 15 carry-save adders per column adds the 16 rows into planes
+//     0–3; its single carry-out (weight 16) ripples into planes 4 and up.
+//     With AVX-512 an assembly kernel adds four columns at once (foldGo is
+//     its Go twin), each adder two three-input logic ops.
 //   - Plane cap. Sixteen planes count to LaneCap = 65535. The fold tracks
 //     how many reports the planes hold and drains them into the caller's
 //     counts before another block could pass the cap, so a batch of any

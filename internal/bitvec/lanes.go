@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+
+	"idldp/internal/cpuid"
 )
 
 const (
@@ -30,16 +32,18 @@ type Lanes struct {
 	n     int // report length in bits
 	words int // (n+63)/64
 
-	// stage[w*laneRows+r] is word w of staged report r: a word column's
-	// rows sit side by side, so the fold reads one contiguous array.
-	stage  []uint64
-	staged int
+	// stage[r*stride+w] is word w of staged report r: a report is one
+	// row, padded with zero words to whole 4-word columns.
+	stage          []uint64
+	stride, staged int
 
-	// planes[w*lanePlanes+p] holds bit p of the 64 counters of word
-	// column w. folded is the number of reports the planes hold, which
-	// bounds every counter.
-	planes []uint64
+	// planes[c][p][i] holds bit p of the 64 counters of word column
+	// 4c+i: plane p of four word columns side by side. folded is the
+	// number of reports the planes hold, which bounds every counter.
+	planes [][lanePlanes][4]uint64
 	folded int
+
+	kernel bool // fold by foldAVX512, not foldGo, its Go twin
 }
 
 // NewLanes returns an empty fold for n-bit reports. It panics if n is
@@ -49,11 +53,14 @@ func NewLanes(n int) *Lanes {
 		panic("bitvec: negative length")
 	}
 	words := (n + 63) / 64
+	cols := (words + 3) / 4
 	return &Lanes{
 		n:      n,
 		words:  words,
-		stage:  make([]uint64, words*laneRows),
-		planes: make([]uint64, words*lanePlanes),
+		stage:  make([]uint64, 4*cols*laneRows),
+		stride: 4 * cols,
+		planes: make([][lanePlanes][4]uint64, cols),
+		kernel: cpuid.Level >= cpuid.AVX512 && cols > 0,
 	}
 }
 
@@ -75,9 +82,7 @@ func (l *Lanes) AddWords(words []uint64, n int, counts []int64) error {
 	if err := l.check(len(words), last, n, counts); err != nil {
 		return err
 	}
-	for w, x := range words {
-		l.stage[w*laneRows+l.staged] = x
-	}
+	copy(l.stage[l.staged*l.stride:], words)
 	l.stageDone(counts)
 	return nil
 }
@@ -98,8 +103,9 @@ func (l *Lanes) AddBytes(p []byte, n int, counts []int64) error {
 	if err := l.check(count, last, n, counts); err != nil {
 		return err
 	}
-	for w := 0; w < count; w++ {
-		l.stage[w*laneRows+l.staged] = binary.LittleEndian.Uint64(p[8*w:])
+	row := l.stage[l.staged*l.stride:][:count]
+	for w := range row {
+		row[w] = binary.LittleEndian.Uint64(p[8*w:])
 	}
 	l.stageDone(counts)
 	return nil
@@ -167,18 +173,17 @@ func (l *Lanes) AddLanes(o *Lanes, counts []int64) {
 	// running off l's top plane.
 	top := bits.Len(uint(o.folded))
 	for w := 0; w < l.words; w++ {
-		p := (*[lanePlanes]uint64)(l.planes[w*lanePlanes:])
-		q := (*[lanePlanes]uint64)(o.planes[w*lanePlanes:])
+		p, q, i := &l.planes[w>>2], &o.planes[w>>2], w&3
 		var carry uint64
-		i := 0
-		for ; i < top; i++ {
-			a, b := p[i], q[i]
+		k := 0
+		for ; k < top; k++ {
+			a, b := p[k][i], q[k][i]
 			u := a ^ b
-			p[i], carry = u^carry, a&b|u&carry
-			q[i] = 0
+			p[k][i], carry = u^carry, a&b|u&carry
+			q[k][i] = 0
 		}
-		for ; carry != 0 && i < lanePlanes; i++ {
-			p[i], carry = p[i]^carry, p[i]&carry
+		for ; carry != 0 && k < lanePlanes; k++ {
+			p[k][i], carry = p[k][i]^carry, p[k][i]&carry
 		}
 	}
 	l.folded += o.folded
@@ -201,9 +206,7 @@ func (l *Lanes) foldPartial() {
 	if l.staged == 0 {
 		return
 	}
-	for w := 0; w < l.words; w++ {
-		clear(l.stage[w*laneRows+l.staged : (w+1)*laneRows])
-	}
+	clear(l.stage[l.staged*l.stride:])
 	l.foldBlock()
 }
 
@@ -217,12 +220,27 @@ func csa(a, b, c uint64) (carry, sum uint64) {
 // foldBlock adds the staged rows into the planes: per word column a
 // tree of 15 carry-save adders takes the 16 rows and planes 0–3 to new
 // planes 0–3 and one carry-out of weight 16, which then ripples into
-// planes 4 and up (it dies out after a step or two on average).
+// planes 4 and up (it dies out after a step or two on average). The
+// kernel runs four columns at once; foldGo is its twin and reference.
 func (l *Lanes) foldBlock() {
+	if l.kernel {
+		foldAVX512(&l.stage[0], &l.planes[0], len(l.planes))
+	} else {
+		l.foldGo()
+	}
+	l.folded += l.staged
+	l.staged = 0
+}
+
+// foldGo is foldBlock one word column at a time.
+func (l *Lanes) foldGo() {
 	for w := 0; w < l.words; w++ {
-		r := (*[laneRows]uint64)(l.stage[w*laneRows:])
-		p := (*[lanePlanes]uint64)(l.planes[w*lanePlanes:])
-		ones, twos, fours, eights := p[0], p[1], p[2], p[3]
+		var r [laneRows]uint64
+		for j := range r {
+			r[j] = l.stage[j*l.stride+w]
+		}
+		p, i := &l.planes[w>>2], w&3
+		ones, twos, fours, eights := p[0][i], p[1][i], p[2][i], p[3][i]
 		var twosA, twosB, foursA, foursB, eightsA, eightsB, carry uint64
 
 		twosA, ones = csa(ones, r[0], r[1])
@@ -242,15 +260,13 @@ func (l *Lanes) foldBlock() {
 		eightsB, fours = csa(fours, foursA, foursB)
 
 		carry, eights = csa(eights, eightsA, eightsB)
-		p[0], p[1], p[2], p[3] = ones, twos, fours, eights
+		p[0][i], p[1][i], p[2][i], p[3][i] = ones, twos, fours, eights
 		// LaneCap keeps every counter below 2^lanePlanes, so the carry is
-		// gone before i runs off the top plane.
-		for i := 4; carry != 0 && i < lanePlanes; i++ {
-			p[i], carry = p[i]^carry, p[i]&carry
+		// gone before k runs off the top plane.
+		for k := 4; carry != 0 && k < lanePlanes; k++ {
+			p[k][i], carry = p[k][i]^carry, p[k][i]&carry
 		}
 	}
-	l.folded += l.staged
-	l.staged = 0
 }
 
 // drainPlanes adds the vertical counters into counts and zeroes them.
@@ -262,26 +278,25 @@ func (l *Lanes) foldBlock() {
 func (l *Lanes) drainPlanes(counts []int64) {
 	const everyByte = 0x0101010101010101
 	for w := 0; w < l.words; w++ {
-		p := (*[lanePlanes]uint64)(l.planes[w*lanePlanes:])
+		p, i := &l.planes[w>>2], w&3
 		out := counts[w*64 : min(w*64+64, l.n)]
 		used := lanePlanes
-		for used > 0 && p[used-1] == 0 {
+		for used > 0 && p[used-1][i] == 0 {
 			used--
 		}
 		for g := 0; g < used; g += 8 {
-			group := p[g:min(used, g+8)]
 			for r := 0; r < 8; r++ {
 				var lanes uint64
-				for j, plane := range group {
-					lanes |= (plane >> r & everyByte) << j
+				for j := g; j < min(used, g+8); j++ {
+					lanes |= (p[j][i] >> r & everyByte) << (j - g)
 				}
-				for i := r; i < len(out); i += 8 {
-					out[i] += int64(lanes&0xff) << g
+				for k := r; k < len(out); k += 8 {
+					out[k] += int64(lanes&0xff) << g
 					lanes >>= 8
 				}
 			}
 		}
-		*p = [lanePlanes]uint64{}
 	}
+	clear(l.planes)
 	l.folded = 0
 }

@@ -8,6 +8,7 @@ import (
 
 	"idldp/internal/bitvec"
 	"idldp/internal/budget"
+	"idldp/internal/cpuid"
 	"idldp/internal/notion"
 	"idldp/internal/opt"
 	"idldp/internal/rng"
@@ -71,7 +72,7 @@ func BenchmarkPerturbItem(b *testing.B) {
 		want int
 	}
 	oues := []oue{{1, planes}, {2.5, planes}, {3, planes}, {5, skip}, {8, skip}}
-	if haveKernel {
+	if cpuid.Level != cpuid.Go {
 		// Just above the crossover, where only the kernel's planes win.
 		oues = append(oues, oue{3.5, planes})
 	}
@@ -132,21 +133,18 @@ func BenchmarkPerturbItem(b *testing.B) {
 	}
 }
 
-// BenchmarkFill times fill alone on a §VII report, through the plane
-// kernel and through its Go twin, the sampler of every CPU without AVX2.
+// BenchmarkFill times fill alone on a §VII report, through each plane
+// kernel and through the Go twin, the sampler of every CPU without AVX2.
 func BenchmarkFill(b *testing.B) {
 	u := sectionVII(b)
-	for _, path := range []struct {
-		name   string
-		kernel bool
-	}{{"kernel", true}, {"twin", false}} {
-		b.Run(path.name, func(b *testing.B) {
-			if path.kernel && !haveKernel {
-				b.Skip("no AVX2 on this CPU")
+	for _, level := range []int{cpuid.AVX512, cpuid.AVX2, cpuid.Go} {
+		b.Run([...]string{"twin", "avx2", "avx512"}[level], func(b *testing.B) {
+			if level > cpuid.Level {
+				b.Skip("not on this CPU")
 			}
 			r, w := rng.New(2), make([]uint64, 16)
 			for b.Loop() {
-				u.fill(r, w, path.kernel)
+				u.fill(r, w, level)
 			}
 		})
 	}

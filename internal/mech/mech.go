@@ -53,19 +53,19 @@
 //	O(m/256 · 9.86 + |x|)
 //
 // four-wide draws whatever b is and however the levels interleave
-// (thresholds are per lane). On amd64 with AVX2 an assembly kernel
-// (planes_amd64.s) draws them, the streams in four YMM registers; a
-// CPUID/XGETBV check picks it once at start-up. Everywhere else fill runs
-// planesTwin, its pure-Go twin: the same words, the Source and streams left
-// in the same place, and the reference the kernel is tested against. On
-// the 2.1 GHz Xeon the repository's benchmark runs on, fill takes ~190 ns a
-// §VII report on the kernel and ~370 ns on the twin, the seeding (~45 ns)
-// included, where one stream for all 16 words takes ~360. The Source moves
+// (thresholds are per lane). On amd64 an assembly kernel (planes_amd64.s)
+// draws them at the widest level internal/cpuid finds, the streams in four
+// YMM registers: 20 vector ops a step on AVX2, 12 on AVX-512VL, which also
+// seeds them in registers and takes a tail's first draw without a branch.
+// Elsewhere fill runs planesTwin, its pure-Go twin: the same words, the
+// Source and streams left in the same place, and the kernels' reference.
+// On the 2.1 GHz Xeon of the repository's benchmark, fill takes ~140 ns a
+// §VII report on AVX-512, ~195 on AVX2, ~440 on the twin. The Source moves
 // on exactly two words per report for its planes, so the skip runs and the
-// keep draws after them stay on the Source's own stream. The probability
-// realized is exactly T/2⁶⁴ (the tail runs to plane 64 if it must): finer
-// than the reference's Float64() < p grid of 2⁻⁵³, and equal to B[k] for
-// every float64 B[k] ≥ 2⁻¹¹ (smaller values truncate, never round up).
+// keep draws after them stay on the Source's own stream. The probability realized is exactly T/2⁶⁴ (the tail
+// runs to plane 64 if it must): finer than the reference's Float64() < p
+// grid of 2⁻⁵³, and equal to B[k] for every float64 B[k] ≥ 2⁻¹¹ (smaller
+// values truncate, never round up).
 //
 // Geometric skip (sparse bits). Bits sharing a flip probability b form a
 // run, and the gap between consecutive flips of a run is Geometric(b): one
@@ -105,6 +105,7 @@ import (
 
 	"idldp/internal/bitvec"
 	"idldp/internal/budget"
+	"idldp/internal/cpuid"
 	"idldp/internal/opt"
 	"idldp/internal/rng"
 )
@@ -139,6 +140,8 @@ type UE struct {
 	depth  []uint8
 	planes [][4 * 64]uint64
 	skips  []skipRun
+	// keepT[k] = ⌈A[k]·2⁵³⌉, keep's integer threshold.
+	keepT []uint64
 }
 
 // skipRun is one group of bits sharing a zero-bit flip probability b low
@@ -178,6 +181,10 @@ func NewUE(a, b []float64) (*UE, error) {
 // levels, so the map stays tiny even for random assignments over large
 // domains.
 func (u *UE) buildPlan(skipBelow float64) {
+	u.keepT = make([]uint64, len(u.A))
+	for k, a := range u.A {
+		u.keepT[k] = uint64(math.Ceil(a * 0x1p53))
+	}
 	groups := (len(u.B) + 255) / 256
 	u.live = make([]uint64, 4*groups)
 	index := make(map[float64]int, 8)
@@ -210,9 +217,10 @@ func (u *UE) buildPlan(skipBelow float64) {
 
 // prefixDepth is the number of planes a word with the given live-lane count
 // draws before it first tests whether a lane is still undecided:
-// ⌈log₂ lanes⌉ + 3, after which one word in eight still has one (see the
-// package cost model for the depths either side), and none for a word the
-// plane sampler owns no lane of.
+// ⌈log₂ lanes⌉ + 3 (see the package cost model for the depths either side),
+// and none for a word the plane sampler owns no lane of. A full word is then
+// undecided with probability 1 − (1 − 2⁻⁹)⁶⁴ ≈ 12%, but a group's four words
+// step in lockstep, so 1 − (1 − 2⁻⁹)²⁵⁶ ≈ 39% of full groups run a tail.
 func prefixDepth(lanes int) uint8 {
 	if lanes == 0 {
 		return 0
@@ -227,10 +235,10 @@ func prefixDepth(lanes int) uint8 {
 func fixed64(p float64) uint64 { return uint64(p * 0x1p64) }
 
 // fill writes a perturbation of the all-zero input into w: bit k is 1 with
-// probability B[k], independently; padding bits stay clear. kernel picks
-// the plane kernel over its Go twin (callers pass haveKernel); the two
-// write the same words and leave r in the same place.
-func (u *UE) fill(r *rng.Source, w []uint64, kernel bool) {
+// probability B[k], independently; padding bits stay clear. level picks
+// the plane kernel (callers pass cpuid.Level); every level writes the same
+// words and leaves r in the same place.
+func (u *UE) fill(r *rng.Source, w []uint64, level int) {
 	if u.planes == nil {
 		// An all-skip plan: a report can cost ~45 ns in all, of which
 		// walking the words below to store zeros would be a quarter. It
@@ -239,15 +247,12 @@ func (u *UE) fill(r *rng.Source, w []uint64, kernel bool) {
 	} else {
 		// The planes draw from streams of their own, seeded from r's next
 		// two words; the skip runs (and the caller's keep) draw through r.
-		var st rng.Xoshiro4
-		st.Seed(r)
-		if kernel {
-			var last [4]uint64
-			n := len(u.planes)
-			planesAVX2(&st, &u.planes[0], &u.live[0], &u.depth[0], n, &w[0], &last)
-			copy(w[4*(n-1):], last[:])
-		} else {
+		if level == cpuid.Go {
+			var st rng.Xoshiro4
+			st.Seed(r)
 			u.planesTwin(&st, w)
+		} else {
+			u.planesKernel(r, w, level)
 		}
 	}
 	// Within a skip run every bit shares b, so the gaps between flip
@@ -330,14 +335,13 @@ func planeWord(g rng.Xoshiro, p *[4 * 64]uint64, i int, live uint64, d int) (rng
 	return g, lt, int(k / 4)
 }
 
-// keep overwrites bit k of w, a set input bit, with a Bernoulli(A[k]) draw.
+// keep overwrites bit k of w, a set input bit, with r.Bernoulli(A[k]) drawn
+// without a branch: r.Float64() < A[k] is the low 53 bits of r.Uint64()
+// below keepT[k], so the bit is the borrow of their difference.
 func (u *UE) keep(k int, r *rng.Source, w []uint64) {
-	bit := uint64(1) << uint(k&63)
-	if r.Bernoulli(u.A[k]) {
-		w[k>>6] |= bit
-	} else {
-		w[k>>6] &^= bit
-	}
+	s := uint(k & 63)
+	set := (r.Uint64()&(1<<53-1) - u.keepT[k]) >> 63
+	w[k>>6] = w[k>>6]&^(1<<s) | set<<s
 }
 
 // NewRAPPOR returns the basic (one-time) RAPPOR mechanism over m bits at
@@ -429,7 +433,7 @@ func (u *UE) PerturbInto(x *bitvec.Vector, r *rng.Source, out *bitvec.Vector) {
 	}
 	u.checkOut(out)
 	w := out.MutableWords()
-	u.fill(r, w, haveKernel)
+	u.fill(r, w, cpuid.Level)
 	for wi, xw := range x.Words() {
 		for ; xw != 0; xw &= xw - 1 {
 			u.keep(wi*64+bits.TrailingZeros64(xw), r, w)
@@ -462,7 +466,7 @@ func (u *UE) PerturbItemInto(i int, r *rng.Source, out *bitvec.Vector) {
 	}
 	u.checkOut(out)
 	w := out.MutableWords()
-	u.fill(r, w, haveKernel)
+	u.fill(r, w, cpuid.Level)
 	u.keep(i, r, w)
 }
 

@@ -1,9 +1,5 @@
-// The plane sampler's AVX2 kernel (see planesAVX2 in planes_amd64.go) and
-// the CPU check that picks it. Register use: Y0-Y3 the state rows of the
-// four streams, Y4 and Y5 the undecided and below-threshold lanes of the
-// group's four words, Y6-Y8 scratch; SI the plane cursor, R8 the end of
-// the prefix and R9 of the group's 64 planes, DX/BX/DI the live masks,
-// depths and output words of the group, CX the groups left.
+// The plane sampler's kernels (see planes_amd64.go): one group loop,
+// planes_amd64.h, under two definitions of STEP and TAIL.
 
 #include "textflag.h"
 
@@ -34,84 +30,121 @@
 	VPANDN  Y4, Y6, Y4; \
 	ADDQ    $32, SI
 
+#define TAIL
+
 // func planesAVX2(st *rng.Xoshiro4, planes *[4 * 64]uint64, live *uint64, depth *uint8, groups int, out *uint64, last *[4]uint64)
 TEXT ·planesAVX2(SB), NOSPLIT, $0-56
 	MOVQ    st+0(FP), AX
+	VMOVDQU 0(AX), Y0
+	VMOVDQU 32(AX), Y1
+	VMOVDQU 64(AX), Y2
+	VMOVDQU 96(AX), Y3
 	MOVQ    planes+8(FP), SI
 	MOVQ    live+16(FP), DX
 	MOVQ    depth+24(FP), BX
 	MOVQ    groups+32(FP), CX
 	MOVQ    out+40(FP), DI
-	VMOVDQU 0(AX), Y0
-	VMOVDQU 32(AX), Y1
-	VMOVDQU 64(AX), Y2
-	VMOVDQU 96(AX), Y3
+	MOVQ    last+48(FP), R10
+#include "planes_amd64.h"
 
-group:
-	VMOVDQU (DX), Y4
-	VPXOR   Y5, Y5, Y5
-	LEAQ    2048(SI), R9 // the group's plane 64
-	MOVBQZX (BX), R8
-	SHLQ    $5, R8
-	ADDQ    SI, R8       // the end of its prefix
-	JMP     prefixtest
+// STEP on AVX-512VL, 12 ops: with t = s1 << 17, s3 ^= s1, s1 ^= s2 ^ s0,
+// s2 ^= s0 ^ t (VPTERNLOGQ 0x96), s0 ^= s3, s3 = rotl(s3, 45) (VPROLQ); the
+// plane p decides d = Y4 & (x ^ p) (0x48), Y5 |= d & p (0xF8), Y4 &^= d.
+#undef STEP
+#undef TAIL
+#define STEP \
+	VPADDQ     Y0, Y3, Y6; \
+	VPROLQ     $23, Y6, Y6; \
+	VPADDQ     Y0, Y6, Y6; \
+	VPSLLQ     $17, Y1, Y7; \
+	VPXORQ     Y1, Y3, Y3; \
+	VPTERNLOGQ $0x96, Y0, Y2, Y1; \
+	VPTERNLOGQ $0x96, Y7, Y0, Y2; \
+	VPXORQ     Y3, Y0, Y0; \
+	VPROLQ     $45, Y3, Y3; \
+	VMOVDQU    (SI), Y8; \
+	VPTERNLOGQ $0x48, Y8, Y4, Y6; \
+	VPTERNLOGQ $0xF8, Y8, Y6, Y5; \
+	VPANDNQ    Y4, Y6, Y4; \
+	ADDQ       $32, SI
 
-prefix:
-	STEP
+// TAIL takes the tail's first draw (39% of full groups need it) without a
+// branch: it steps, and restores the state under K1 if no lane was undecided.
+#define TAIL \
+	CMPQ      SI, R9; \
+	JEQ       decided; \
+	VPTEST    Y4, Y4; \
+	SETEQ     AX; \
+	NEGB      AX; \
+	KMOVB     AX, K1; \
+	VMOVDQA64 Y0, Y16; \
+	VMOVDQA64 Y1, Y17; \
+	VMOVDQA64 Y2, Y18; \
+	VMOVDQA64 Y3, Y19; \
+	STEP; \
+	VMOVDQA64 Y16, K1, Y0; \
+	VMOVDQA64 Y17, K1, Y1; \
+	VMOVDQA64 Y18, K1, Y2; \
+	VMOVDQA64 Y19, K1, Y3
 
-prefixtest:
-	CMPQ SI, R8
-	JNE  prefix
+// MIX is SplitMix64's output function on r, its multipliers in Y9, Y10.
+#define MIX(r) \
+	VPSRLQ  $30, r, Y7; \
+	VPXORQ  Y7, r, r; \
+	VPMULLQ Y9, r, r; \
+	VPSRLQ  $27, r, Y7; \
+	VPXORQ  Y7, r, r; \
+	VPMULLQ Y10, r, r; \
+	VPSRLQ  $31, r, Y7; \
+	VPXORQ  Y7, r, r
 
-tail:
-	VPTEST Y4, Y4
-	JZ     decided
-	CMPQ   SI, R9
-	JEQ    decided
-	STEP
-	JMP    tail
+// SEED turns a and b, broadcast in Y0 and Y2, into Xoshiro4.Seed's state
+// rows: mix(a + (2i+1)φ), mix(a + (2i+2)φ), and the same from b.
+#define SEED \
+	VPBROADCASTQ seedk<>+0(SB), Y8; \
+	VPBROADCASTQ seedk<>+8(SB), Y9; \
+	VPBROADCASTQ seedk<>+16(SB), Y10; \
+	VPADDQ       seedk<>+24(SB), Y0, Y0; \
+	VPADDQ       seedk<>+24(SB), Y2, Y2; \
+	VPADDQ       Y8, Y0, Y1; \
+	VPADDQ       Y8, Y2, Y3; \
+	MIX(Y0); \
+	MIX(Y1); \
+	MIX(Y2); \
+	MIX(Y3)
 
-decided:
-	MOVQ R9, SI
-	ADDQ $32, DX
-	INCQ BX
-	DECQ CX
-	JZ   final
-	VMOVDQU Y5, (DI)
-	ADDQ $32, DI
-	JMP  group
+// φ, SplitMix64's multipliers, and the stream offsets φ, 3φ, 5φ, 7φ.
+DATA seedk<>+0(SB)/8, $0x9e3779b97f4a7c15
+DATA seedk<>+8(SB)/8, $0xbf58476d1ce4e5b9
+DATA seedk<>+16(SB)/8, $0x94d049bb133111eb
+DATA seedk<>+24(SB)/8, $0x9e3779b97f4a7c15
+DATA seedk<>+32(SB)/8, $0xdaa66d2c7ddf743f
+DATA seedk<>+40(SB)/8, $0x1715609f7c746c69
+DATA seedk<>+48(SB)/8, $0x538454127b096493
+GLOBL seedk<>(SB), RODATA|NOPTR, $56
 
-final:
-	MOVQ    last+48(FP), DI
-	VMOVDQU Y5, (DI)
+// func planesAVX512(a, b uint64, planes *[4 * 64]uint64, live *uint64, depth *uint8, groups int, out *uint64, last *[4]uint64)
+TEXT ·planesAVX512(SB), NOSPLIT, $0-64
+	VPBROADCASTQ a+0(FP), Y0
+	VPBROADCASTQ b+8(FP), Y2
+	SEED
+	MOVQ planes+16(FP), SI
+	MOVQ live+24(FP), DX
+	MOVQ depth+32(FP), BX
+	MOVQ groups+40(FP), CX
+	MOVQ out+48(FP), DI
+	MOVQ last+56(FP), R10
+#include "planes_amd64.h"
+
+// func seedAVX512(a, b uint64, st *rng.Xoshiro4)
+TEXT ·seedAVX512(SB), NOSPLIT, $0-24
+	VPBROADCASTQ a+0(FP), Y0
+	VPBROADCASTQ b+8(FP), Y2
+	SEED
+	MOVQ    st+16(FP), AX
+	VMOVDQU Y0, 0(AX)
+	VMOVDQU Y1, 32(AX)
+	VMOVDQU Y2, 64(AX)
+	VMOVDQU Y3, 96(AX)
 	VZEROUPPER
-	RET
-
-// func hasAVX2() bool
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVB $0, ret+0(FP)
-	XORL AX, AX
-	XORL CX, CX
-	CPUID           // EAX: the highest standard leaf
-	CMPL AX, $7
-	JLT  done
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX  // ECX bits 27 (OSXSAVE) and 28 (AVX)
-	CMPL CX, $0x18000000
-	JNE  done
-	XORL CX, CX
-	XGETBV          // XCR0 bits 1 and 2: the OS saves XMM and YMM state
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  done
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	BTL  $5, BX     // EBX bit 5: AVX2
-	JCC  done
-	MOVB $1, ret+0(FP)
-
-done:
 	RET

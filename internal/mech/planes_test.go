@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"idldp/internal/bitvec"
+	"idldp/internal/cpuid"
 	"idldp/internal/rng"
 )
 
@@ -397,9 +398,9 @@ func replayFill(u *UE, twin *rng.Source, want []uint64) (tails int) {
 }
 
 // TestFillReplaysScalar is the sampler's fast-equals-naive check, bit for
-// bit, three ways: the AVX2 kernel (where the CPU has it), the Go twin and
-// an independent scalar replay (replayFill) must write the same words from
-// garbage-filled buffers (so a plane bit in a padding or skip-owned lane,
+// bit, every way the CPU has: the AVX-512 and AVX2 kernels (where it has
+// them), the Go twin and an independent scalar replay (replayFill) must
+// write the same words from garbage-filled buffers (so a plane bit in a padding or skip-owned lane,
 // or a word left unwritten, shows) and leave their Sources in the same
 // place: two words further per fill that uses planes, plus the skip runs.
 // The shapes are §VII IDUE, splitUE (planes and two skip runs in every
@@ -442,8 +443,8 @@ func TestFillReplaysScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !haveKernel {
-		t.Logf("no AVX2 on this CPU: the Go twin is checked against the replay alone")
+	if cpuid.Level == cpuid.Go {
+		t.Logf("no plane kernel on this CPU: the Go twin is checked against the replay alone")
 	}
 	tails := 0
 	for name, u := range map[string]*UE{
@@ -454,16 +455,15 @@ func TestFillReplaysScalar(t *testing.T) {
 		"skip-oue5-200":  skipOnly,
 	} {
 		type path struct {
-			name   string
-			kernel bool
-			r      *rng.Source
-			w      []uint64
+			level int
+			r     *rng.Source
+			w     []uint64
 		}
 		words := (u.Bits() + 63) / 64
 		want, twin := make([]uint64, words), rng.New(20260928)
-		paths := []path{{"the Go twin", false, rng.New(20260928), make([]uint64, words)}}
-		if haveKernel {
-			paths = append(paths, path{"the kernel", true, rng.New(20260928), make([]uint64, words)})
+		var paths []path
+		for level := cpuid.Go; level <= cpuid.Level; level++ {
+			paths = append(paths, path{level, rng.New(20260928), make([]uint64, words)})
 		}
 		for rep := 0; rep < 500; rep++ {
 			tails += replayFill(u, twin, want)
@@ -472,14 +472,14 @@ func TestFillReplaysScalar(t *testing.T) {
 				for wi := range p.w {
 					p.w[wi] = ^uint64(0)
 				}
-				u.fill(p.r, p.w, p.kernel)
+				u.fill(p.r, p.w, p.level)
 				for wi := range p.w {
 					if p.w[wi] != want[wi] {
-						t.Fatalf("%s report %d word %d: %s wrote %#016x, the scalar replay %#016x", name, rep, wi, p.name, p.w[wi], want[wi])
+						t.Fatalf("%s report %d word %d: %s wrote %#016x, the scalar replay %#016x", name, rep, wi, levelNames[p.level], p.w[wi], want[wi])
 					}
 				}
 				if got := p.r.Uint64(); got != next {
-					t.Fatalf("%s report %d: after %s the Source stands elsewhere than the replay's (next draw %#x, twin %#x)", name, rep, p.name, got, next)
+					t.Fatalf("%s report %d: after %s the Source stands elsewhere than the replay's (next draw %#x, twin %#x)", name, rep, levelNames[p.level], got, next)
 				}
 			}
 		}

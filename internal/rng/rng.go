@@ -24,7 +24,8 @@
 // costs five multiplies a step; xoshiro256++ costs none, only shifts,
 // rotates, xors and adds, so four streams step together in 256-bit
 // registers, one a state word. One stream took a §VII report from ~550 to
-// ~340 ns; four in lockstep take it to ~190 ns on AVX2. (The standard
+// ~340 ns; four in lockstep take it to ~195 ns on AVX2, ~140 on AVX-512,
+// whose kernel also runs Seed in vector lanes. (The standard
 // library's other generator, ChaCha8, is no way out: the 16 plane words
 // of that report cost ~270 ns on one xoshiro256++ stream and ~810 on it.)
 // It is the ++ scrambler and not xoshiro256+, whose lowest bits are weak

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,12 +45,22 @@ func TestLaneFoldExactAcrossModes(t *testing.T) {
 	producers := len(makers) * perMode
 	reports := randomReports(producers*perProducer, m, 21)
 
+	// Saturation starts forced on and stays on until every reject-mode
+	// producer has been pushed back at least once (its first flush is at
+	// report 37, so each is), and only then starts pulsing: the retry path
+	// runs on every run, not when the scheduler happens to line a flush up
+	// with a pulse.
+	var pushedBack atomic.Int32 // reject-mode producers pushed back so far
+	s.ForceSaturation(true)
 	stopPulses := make(chan struct{})
 	pulsesDone := make(chan struct{})
 	go func() {
 		defer close(pulsesDone)
-		for on := true; ; on = !on {
-			s.ForceSaturation(on)
+		for on := true; ; {
+			if pushedBack.Load() == perMode {
+				on = !on
+				s.ForceSaturation(on)
+			}
 			select {
 			case <-stopPulses:
 				s.ForceSaturation(false)
@@ -73,7 +84,9 @@ func TestLaneFoldExactAcrossModes(t *testing.T) {
 			// part of the pending block, so only the flush is retried.
 			settle := func(err error) error {
 				for errors.Is(err, ErrSaturated) {
-					pushed++
+					if pushed++; pushed == 1 {
+						pushedBack.Add(1)
+					}
 					runtime.Gosched()
 					err = b.Flush()
 				}
